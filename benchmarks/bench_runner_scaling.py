@@ -33,6 +33,7 @@ import time
 from repro.api import (
     JobSpec,
     ResultCache,
+    RunnerOptions,
     SimulationConfig,
     build_grid,
     run_grid,
@@ -65,7 +66,11 @@ def scaling_grid(
 
 def _timed_run(jobs, max_workers, cache=None) -> tuple[float, list]:
     start = time.perf_counter()
-    outcomes = run_grid(jobs, max_workers=max_workers, cache=cache)
+    outcomes = run_grid(
+        jobs,
+        options=RunnerOptions(jobs=max_workers, use_cache=False),
+        cache=cache,
+    )
     elapsed = time.perf_counter() - start
     failures = [o for o in outcomes if not o.ok]
     if failures:

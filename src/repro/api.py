@@ -1,10 +1,9 @@
 """Stable public facade of the reproduction toolkit.
 
 This module is the **stability boundary** of the package: scripts,
-notebooks and downstream tooling should import from ``repro.api`` (or
-the aliases re-exported in :mod:`repro` itself), not from the internal
-submodules.  Everything in ``__all__`` here keeps its name and call
-signature across minor versions; internal modules
+notebooks and downstream tooling should import from ``repro.api``, not
+from the internal submodules.  Everything in ``__all__`` here keeps its
+name and call signature across minor versions; internal modules
 (``repro.sim.pipeline``, ``repro.codec.*``, ...) may be refactored
 freely underneath it.
 
@@ -160,7 +159,6 @@ from repro.sim.experiment import (
     RateMatchSpec,
     ReplicationSummary,
     calibrate_intra_th,
-    match_intra_th_to_size,
     total_encoded_bytes,
 )
 from repro.sim.experiment import comparison_specs as _comparison_specs
@@ -313,10 +311,9 @@ def sweep(
     *,
     specs: Iterable[ExperimentSpec],
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> list[ExperimentResult]:
-    """Run several specs against one sequence, preserving order."""
-    return _sweep(sequence, specs, config=config, max_workers=max_workers)
+    """Run several specs against one sequence, in-process, preserving order."""
+    return _sweep(sequence, specs, config=config)
 
 
 def replicate(
@@ -328,7 +325,6 @@ def replicate(
     seeds: Sequence[int],
     label: str = "run",
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> ReplicationSummary:
     """Run the same experiment over several channel seeds."""
     return _replicate(
@@ -339,7 +335,6 @@ def replicate(
         seeds,
         label=label,
         config=config,
-        max_workers=max_workers,
     )
 
 
@@ -446,7 +441,6 @@ __all__ = [
     "comparison_specs",
     "make_strategy",
     "make_sequence",
-    "match_intra_th_to_size",
     "calibrate_intra_th",
     "total_encoded_bytes",
     # matched-bitrate comparison and closed-loop rate control

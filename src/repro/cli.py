@@ -83,6 +83,7 @@ from repro.sim.runner import (
     JobResult,
     JobSpec,
     RunnerOptions,
+    run_grid,
 )
 from repro.video.synthetic import SEQUENCE_GENERATORS
 
@@ -181,7 +182,9 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="FILE",
         help="write a JSON manifest recording every job's outcome, and "
-        "degrade gracefully on failures instead of aborting",
+        "degrade gracefully on failures instead of aborting (serve: "
+        "where the service manifest goes; default "
+        "<queue-dir>/service_manifest.json)",
     )
     _add_fault_options(parser)
     _add_trace_options(parser)
@@ -328,7 +331,9 @@ def _grid_results(args, jobs, options, cache, stream_cache=None):
     manifest file, failures are reported on stderr, and failed cells
     come back as ``None`` so callers can render the surviving rows.
     """
-    outcomes = options.run(jobs, cache=cache, stream_cache=stream_cache)
+    outcomes = run_grid(
+        jobs, options=options, cache=cache, stream_cache=stream_cache
+    )
     failures = [o for o in outcomes if isinstance(o, JobFailure)]
     for failure in failures:
         quarantined = " [quarantined]" if failure.quarantined else ""
@@ -744,6 +749,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_pending=args.max_pending,
             lease_s=args.lease,
             max_fails=args.max_fails,
+            manifest_path=args.manifest,
         )
     except ValueError as error:
         raise SystemExit(str(error))
@@ -1162,8 +1168,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=8,
-        help="jobs claimed per dispatch; batches feed the chunked grid "
-        "pool (default: 8)",
+        help="jobs claimed per dispatch; each batch is one grid run "
+        "(default: 8)",
     )
     serve.add_argument(
         "--max-pending",

@@ -12,6 +12,11 @@ Three pieces:
 * :mod:`repro.core.adaptation` — the power-awareness extension of
   Section 3.2: adapting ``Intra_Th`` to PLR changes, energy budgets and
   quality targets.
+
+:mod:`repro.core.instrumentation` (σ snapshots of a running PBPAIR
+strategy) builds on :mod:`repro.resilience` and is imported from its
+module, not re-exported here: the package itself stays below the
+resilience layer that depends on it.
 """
 
 from repro.core.correctness import (
@@ -27,12 +32,6 @@ from repro.core.adaptation import (
     FeedbackIntraThController,
     EnergyBudgetController,
 )
-from repro.core.instrumentation import (
-    InstrumentedPBPAIRStrategy,
-    SigmaSnapshot,
-    SigmaTrace,
-    sigma_heatmap,
-)
 
 __all__ = [
     "CorrectnessMatrix",
@@ -45,8 +44,4 @@ __all__ = [
     "intra_th_for_plr_change",
     "FeedbackIntraThController",
     "EnergyBudgetController",
-    "InstrumentedPBPAIRStrategy",
-    "SigmaSnapshot",
-    "SigmaTrace",
-    "sigma_heatmap",
 ]

@@ -4,7 +4,7 @@ An asyncio service that turns the batch grid runner into a streaming
 session service: clients submit simulate/sweep jobs over a local
 HTTP+JSONL API, a persistent :class:`~repro.service.queue.JobQueue`
 makes every accepted job durable, and dispatcher tasks drain the queue
-through the existing chunked :func:`~repro.sim.runner.run_grid` pool —
+through the batch runner's :func:`~repro.sim.runner.run_grid` loop —
 with the encode-once stream cache underneath, so concurrent sessions
 that share an encode configuration share the encode work.
 
@@ -44,7 +44,7 @@ import asyncio
 import concurrent.futures
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Optional, Union
 
@@ -62,7 +62,6 @@ from repro.service.wire import (
 from repro.sim.runner import (
     JobFailure,
     JobResult,
-    JobSpec,
     RunnerOptions,
     run_grid,
 )
@@ -112,11 +111,13 @@ class ServiceConfig:
         host, port: listen address; port 0 binds an ephemeral port
             (the bound port is reported by :attr:`EncodeDaemon.port`).
         runner: execution options shared with the batch CLI verbs —
-            worker count, caches, retries, timeouts, fault plans.
+            worker count, caches, retries, timeouts, fault plans, rate
+            control and channel scenario — applied whole to every
+            batch, except ``manifest_path`` (see below).
         service_workers: concurrent dispatcher tasks (each runs one
             claimed batch at a time).
-        batch_size: jobs claimed per dispatch; batching feeds the
-            chunked ``run_grid`` pool and keeps equal-encode sessions
+        batch_size: jobs claimed per dispatch; batching amortizes
+            ``run_grid``'s dispatch and keeps equal-encode sessions
             together on the stream cache.
         max_pending: queue backlog bound — submissions beyond it get
             HTTP 429 with a Retry-After hint.
@@ -127,7 +128,8 @@ class ServiceConfig:
         poll_s: dispatcher idle poll interval.
         manifest_path: where the durable :class:`ServiceManifest` is
             written on drain/shutdown (default:
-            ``<queue_dir>/service_manifest.json``).
+            ``<queue_dir>/service_manifest.json``).  Per-batch grids
+            never write a :class:`~repro.sim.runner.GridManifest`.
     """
 
     queue_dir: Union[str, Path] = ".repro_service"
@@ -173,6 +175,10 @@ class EncodeDaemon:
         self.metrics = MetricsRegistry()
         self.cache = config.runner.build_cache()
         self.stream_cache = config.runner.build_stream_cache(self.cache)
+        # Batches run under the runner options whole, minus the grid
+        # manifest: the daemon's own ServiceManifest is the accounting
+        # record, and per-batch grids would overwrite each other's.
+        self._batch_options = replace(config.runner, manifest_path=None)
         self.results: dict[str, SessionResult] = {}
         self.started_at = time.time()
         self._draining = False
@@ -288,18 +294,11 @@ class EncodeDaemon:
         session whose spec matches previous work is served from cache
         and equal-encode sessions pay for one encode.
         """
-        specs = [job.submit.spec for job in batch]
-        options = self.config.runner
         return run_grid(
-            specs,
-            max_workers=options.max_workers,
+            [job.submit.spec for job in batch],
+            options=self._batch_options,
             cache=self.cache,
-            timeout=options.job_timeout,
-            trace_dir=options.trace_dir,
-            retry=options.retry_policy,
-            faults=options.faults,
             stream_cache=self.stream_cache,
-            share_streams=options.share_streams,
         )
 
     def _report_batch(self, owner, batch, outcomes) -> None:

@@ -4,8 +4,8 @@
 together and returns a :class:`repro.sim.pipeline.SimulationResult` with
 everything the paper's figures plot; :mod:`repro.sim.experiment` runs
 parameter sweeps over schemes/sequences/channels; :mod:`repro.sim.runner`
-fans declarative job grids across a process pool with on-disk result
-caching; :mod:`repro.sim.report` prints figure-shaped tables.
+runs declarative job grids through one dispatch loop (in-process or on a
+process pool) with on-disk result caching; :mod:`repro.sim.report` prints figure-shaped tables.
 """
 
 from repro.sim.pipeline import (
@@ -29,7 +29,6 @@ from repro.sim.experiment import (
     sweep,
     replicate,
     calibrate_intra_th,
-    match_intra_th_to_size,
 )
 from repro.sim.runner import (
     EncodedStreamCache,
@@ -76,7 +75,6 @@ __all__ = [
     "run_experiment",
     "sweep",
     "calibrate_intra_th",
-    "match_intra_th_to_size",
     "ReplicationSummary",
     "replicate",
     "format_table",

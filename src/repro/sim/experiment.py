@@ -12,15 +12,13 @@ encoded bitstream" (Figure 6).  Two ways to get there:
 * :func:`calibrate_intra_th` — the legacy offline path: find the
   ``Intra_Th`` whose encoded size matches a reference by bisection (the
   intra-macroblock count, and with it the encoded size, grows
-  monotonically with the threshold).  Kept for matched-*size* studies;
-  its old name, :func:`match_intra_th_to_size`, is a deprecated alias.
+  monotonically with the threshold).  Kept for matched-*size* studies.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.core.pbpair import PBPAIRConfig
@@ -89,16 +87,14 @@ def sweep(
     sequence: VideoSequence,
     specs: Iterable[ExperimentSpec],
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> list[ExperimentResult]:
     """Run a list of specs against one sequence, preserving order.
 
-    ``max_workers`` fans the runs across a process pool via
-    :func:`repro.sim.runner.run_simulations`; strategies and loss
-    models are instantiated here (fresh per run) and shipped to the
-    workers as initial-state objects, so parallel results are
-    bit-identical to serial ones.  Specs whose factories do not pickle
-    (e.g. lambdas) silently run serially instead.
+    Runs in-process through :func:`repro.sim.runner.run_simulations`
+    (strategies and loss models are instantiated here, fresh per run),
+    so specs sharing an encode pay for it once.  For a parallel grid,
+    describe the cells as :class:`~repro.sim.runner.JobSpec` and use
+    :func:`~repro.sim.runner.run_grid`.
     """
     specs = list(specs)
     tasks = [
@@ -110,7 +106,7 @@ def sweep(
         )
         for spec in specs
     ]
-    results = run_simulations(tasks, max_workers=max_workers)
+    results = run_simulations(tasks)
     return [
         ExperimentResult(label=spec.label, result=result)
         for spec, result in zip(specs, results)
@@ -275,33 +271,11 @@ def calibrate_intra_th(
     )
 
 
-def match_intra_th_to_size(*args: Any, **kwargs: Any) -> CalibrationResult:
-    """Deprecated alias of :func:`calibrate_intra_th`.
-
-    .. deprecated::
-        Matched-*bitrate* comparisons no longer probe at all — build a
-        :class:`RateMatchSpec` (or pass ``--target-kbps`` to the CLI)
-        and the closed-loop controller drives every scheme to the
-        target in one pass.  For the remaining matched-*size* studies,
-        call :func:`calibrate_intra_th`; it is the same bisection with
-        the same signature and the same :class:`CalibrationResult`
-        return.  This alias will be removed in a future release.
-    """
-    warnings.warn(
-        "match_intra_th_to_size is deprecated: use RateMatchSpec / "
-        "--target-kbps for matched-bitrate comparisons, or "
-        "calibrate_intra_th for matched-size calibration",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return calibrate_intra_th(*args, **kwargs)
-
-
 @dataclass(frozen=True)
 class RateMatchSpec:
     """A matched-bitrate comparison: every scheme, one kbps target.
 
-    The first-class replacement for the ``match_intra_th_to_size``
+    The first-class replacement for the :func:`calibrate_intra_th`
     probe loop on the Figure 5/6 path: instead of bisecting PBPAIR's
     ``Intra_Th`` until its file size matches a reference encode, every
     scheme carries the same closed-loop
@@ -405,7 +379,6 @@ def replicate(
     seeds: Sequence[int],
     label: str = "run",
     config: Optional[SimulationConfig] = None,
-    max_workers: Optional[int] = 1,
 ) -> ReplicationSummary:
     """Run the same experiment over several channel seeds.
 
@@ -415,10 +388,9 @@ def replicate(
     seed to a fresh loss model; ``strategy_factory`` builds a fresh
     (stateful) strategy per run.
 
-    The per-seed runs are independent, so ``max_workers`` fans them
-    across a process pool (:func:`repro.sim.runner.run_simulations`);
-    the ``metric`` callable is applied in *this* process, so it may be
-    a lambda.  Seed order and values are identical at any worker count.
+    The per-seed runs share one encode when the strategy comes from
+    the spec registry (:func:`repro.sim.runner.run_simulations`), and
+    every callable may be a lambda: nothing leaves this process.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -426,7 +398,7 @@ def replicate(
         (sequence, strategy_factory(), loss_factory(seed), config)
         for seed in seeds
     ]
-    results = run_simulations(tasks, max_workers=max_workers)
+    results = run_simulations(tasks)
     values = [float(metric(result)) for result in results]
     return ReplicationSummary(
         label=label, seeds=tuple(int(s) for s in seeds), values=tuple(values)

@@ -10,33 +10,41 @@ embarrassingly parallel *and* cacheable — this module exploits both:
   :mod:`repro.resilience.registry`), the channel parameters, the source
   sequence by name, and the codec/device configuration.  Everything a
   worker process needs to rebuild the experiment from scratch.
-* :func:`run_grid` fans a list of specs across a
-  :class:`concurrent.futures.ProcessPoolExecutor`, with per-job error
-  capture (a crashed cell comes back as a :class:`JobFailure` record
-  instead of killing the sweep) and an optional per-job timeout.
+* :func:`run_grid` runs a list of specs through one dispatch loop, with
+  per-job error capture (a crashed cell comes back as a
+  :class:`JobFailure` record instead of killing the sweep), bounded
+  retry and an optional per-job timeout.
 * :class:`ResultCache` stores each cell's
   :class:`~repro.sim.pipeline.SimulationResult` on disk under a stable
   content hash of its spec, so re-running a sweep only computes the
   cells whose parameters changed.
 
+One loop, whatever the worker count: pending cells are sorted by encode
+key, cut into chunks and submitted to an executor.  Chunk size is the
+only policy that varies — coarse chunks (a few per worker) on the clean
+path, one cell per chunk once retries, a timeout or a fault plan need to
+observe cells individually.  With ``jobs=1``, a single pending cell or
+no usable process pool, the executor is an in-process stand-in that
+runs each chunk on submission against the caller's own caches; a pool
+of worker processes is the other executor.  Retry, timeout,
+broken-pool rebuild and poison-cache labels therefore behave the same
+in both.
+
 Determinism: a job's outcome depends only on its spec (synthetic
 sequences, the channel and the codec are all explicitly seeded), so the
-same grid produces bit-identical results at any worker count — the
-serial path is the ``max_workers=1`` special case of the same code, not
-a separate implementation.
+same grid produces bit-identical results at any worker count.
 
-Observability: passing ``trace_dir`` to :func:`run_grid` runs every
-executed cell under a per-job :class:`repro.obs.Tracer`; workers write
-``job-*.jsonl`` trace files (span records cannot ride the result pickle
-without coupling results to tracing) and the parent merges them into
+Observability: ``RunnerOptions.trace_dir`` runs every executed cell
+under a per-job :class:`repro.obs.Tracer`; workers write ``job-*.jsonl``
+trace files (span records cannot ride the result pickle without
+coupling results to tracing) and the parent merges them into
 ``trace_dir/trace.jsonl`` once the grid completes.
 
-:func:`run_simulations` is the lower-level sibling used by
+:func:`run_simulations` is the in-process sibling used by
 :func:`repro.sim.experiment.sweep` and
-:func:`~repro.sim.experiment.replicate`: it parallelizes already-built
-(sequence, strategy, loss model) triples, falling back to serial
-execution when the objects cannot cross a process boundary (e.g. lambda
-factories) or the platform has no working process pool.
+:func:`~repro.sim.experiment.replicate`: it runs already-built
+(sequence, strategy, loss model) triples, encoding each group of
+registry strategies that share an encode key only once.
 """
 
 from __future__ import annotations
@@ -49,7 +57,7 @@ import os
 import pickle
 import time
 import traceback
-from collections import OrderedDict
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -376,9 +384,9 @@ class RunnerOptions:
     grow the same flag set independently (``--jobs``, ``--no-cache``,
     ``--cache-dir``, ``--faults``, ``--retries``, ``--job-timeout``,
     ``--manifest``, ``--no-stream-cache``).  This dataclass is the one
-    typed surface those flags resolve into: build it once, hand it to
-    :func:`run_grid` (``options=``) or to
-    :class:`repro.service.daemon.EncodeDaemon`, and the execution
+    typed surface those flags resolve into, and the only way to set
+    them: build it once, hand it to :func:`run_grid` (``options=``) or
+    to :class:`repro.service.daemon.EncodeDaemon`, and the execution
     semantics are identical everywhere.
 
     Attributes:
@@ -429,7 +437,7 @@ class RunnerOptions:
 
     @property
     def max_workers(self) -> Optional[int]:
-        """The :func:`run_grid` ``max_workers`` value (``None`` = all)."""
+        """Worker process count for :func:`resolve_workers` (``None`` = all)."""
         return None if self.jobs == 0 else self.jobs
 
     @property
@@ -455,12 +463,6 @@ class RunnerOptions:
         return EncodedStreamCache(
             cache.directory / "streams" if cache is not None else None
         )
-
-    def run(
-        self, jobs: Iterable["JobSpec"], **overrides: Any
-    ) -> list[Union["JobResult", "JobFailure"]]:
-        """Run a grid under these options (``run_grid`` shorthand)."""
-        return run_grid(jobs, options=self, **overrides)
 
 
 def build_grid(
@@ -1082,39 +1084,31 @@ def _raise_worker_faults(
 
 def _execute_job(
     spec: JobSpec,
-    trace_dir: Optional[str] = None,
-    attempt: int = 1,
-    allow_process_exit: bool = False,
-    stream_dir: Optional[str] = None,
-    share_streams: bool = False,
-    stream_cache: Optional[EncodedStreamCache] = None,
+    trace_dir: Optional[str],
+    attempt: int,
+    allow_process_exit: bool,
+    stream_cache: Optional[EncodedStreamCache],
 ) -> tuple[bool, object, float]:
-    """Worker entry point: never raises*, returns a picklable outcome.
+    """Run one cell attempt: never raises*, returns a picklable outcome.
 
-    (*except an injected ``worker_exit``, which by design takes the
-    whole process down so the parent's broken-pool recovery path gets
-    exercised.)
+    (*except an injected ``worker_exit`` in a pool worker, which by
+    design takes the whole process down so the parent's broken-pool
+    recovery path gets exercised.)
 
     With ``trace_dir``, the job runs under a fresh :class:`Tracer` and
-    leaves its spans in ``trace_dir/job-<hash>.jsonl`` — a per-process
+    leaves its spans in ``trace_dir/job-<hash>.jsonl`` — a per-job
     file, because :class:`SpanRecord` streams cannot cross the pool
     boundary any other way without coupling results to tracing.  The
     parent merges the per-job files after the grid completes.  Tracing
     is observation-only: the returned result is bit-identical either
     way.
 
-    With ``share_streams``, the job replays its cell against the
-    per-process encoded-stream cache rooted at ``stream_dir`` (memory
-    only when ``None``) — the worker looks the stream up by content
-    hash instead of receiving pickled megabytes from the parent.
+    :func:`run_job` is looked up as a module global on every call, so
+    wrapping ``repro.sim.runner.run_job`` instruments every cell.
     """
     start = time.perf_counter()
     try:
         _raise_worker_faults(spec, attempt, allow_process_exit)
-        if stream_cache is None and share_streams:
-            stream_cache = _worker_stream_cache(stream_dir)
-        elif not share_streams:
-            stream_cache = None
         if trace_dir is not None:
             tracer = Tracer(trace_id=_job_trace_id(spec))
             with use_tracer(tracer):
@@ -1135,56 +1129,24 @@ def _execute_job(
         return False, payload, time.perf_counter() - start
 
 
-@lru_cache(maxsize=4)
-def _worker_cache(directory: str) -> ResultCache:
-    """Per-process cache handle for chunk workers.
-
-    Each worker opens the cache directory once and reuses the handle
-    across every chunk it executes, instead of the parent serializing
-    all cache writes through its own process.
-    """
-    return ResultCache(directory)
-
-
-@lru_cache(maxsize=4)
-def _worker_stream_cache(directory: Optional[str]) -> EncodedStreamCache:
-    """Per-process encoded-stream cache handle.
-
-    Like :func:`_worker_cache` but for streams; ``None`` gives this
-    process a memory-only cache (jobs of one serial run, or of one
-    worker's lifetime, still share).  Keys are content hashes, so a
-    long-lived handle can never serve a stale stream.
-    """
-    return EncodedStreamCache(directory)
-
-
 def _execute_chunk(
-    specs: Sequence[JobSpec],
-    trace_dir: Optional[str] = None,
-    cache_dir: Optional[str] = None,
-    stream_dir: Optional[str] = None,
-    share_streams: bool = False,
+    cells: Sequence[tuple[JobSpec, int]],
+    trace_dir: Optional[str],
+    cache: Optional[ResultCache],
+    stream_cache: Optional[EncodedStreamCache],
+    allow_process_exit: bool,
 ) -> list[tuple[bool, object, float]]:
-    """Run a batch of clean-path jobs in one worker dispatch.
+    """Run a chunk of ``(spec, attempt)`` cells and cache the successes.
 
-    The coarse-grained sibling of :func:`_execute_job`, used by
-    :func:`run_grid` when no retries, timeouts or faults are in play:
-    one pool round-trip carries a whole chunk of specs (pickle
-    deduplicates the shared config objects across them) and the worker
-    writes its own successes into the result cache, so neither the
-    per-job dispatch latency nor the cache writes serialize on the
-    parent.  Outcomes are per spec, order-aligned, never raising —
-    identical to what per-job dispatch would have produced.
-
-    :func:`run_grid` sorts the clean path's pending cells by encode
-    key before chunking, so the cells of one encode group usually land
-    in the same chunk and hit this worker's stream cache back to back.
+    The one unit of work :func:`run_grid` submits to its executor.
+    Outcomes are per cell, order-aligned and never raising; whoever
+    executes the chunk writes its successes into the result cache, so
+    cache writes never serialize on the parent of a process pool.
     """
-    cache = _worker_cache(cache_dir) if cache_dir is not None else None
     outcomes = []
-    for spec in specs:
+    for spec, attempt in cells:
         ok, payload, elapsed = _execute_job(
-            spec, trace_dir, 1, True, stream_dir, share_streams
+            spec, trace_dir, attempt, allow_process_exit, stream_cache
         )
         if ok and cache is not None:
             cache.put(spec.content_hash(), payload)
@@ -1192,34 +1154,59 @@ def _execute_chunk(
     return outcomes
 
 
-def _outcome(
-    spec: JobSpec,
-    ok: bool,
-    payload: object,
-    elapsed: float,
-    attempts: int = 1,
-    injected: Sequence[str] = (),
-    quarantined: bool = False,
-) -> Union[JobResult, JobFailure]:
-    if ok:
-        return JobResult(
-            spec=spec,
-            result=payload,
-            wall_time_s=elapsed,
-            attempts=attempts,
-            injected_faults=tuple(injected),
-        )
-    error_type, message, tb_text = payload
-    return JobFailure(
-        spec=spec,
-        error_type=error_type,
-        message=message,
-        traceback_text=tb_text,
-        wall_time_s=elapsed,
-        attempts=attempts,
-        quarantined=quarantined,
-        injected_faults=tuple(injected),
+@lru_cache(maxsize=4)
+def _worker_cache(directory: str, max_bytes: Optional[int]) -> ResultCache:
+    """Per-process result-cache handle, reused across a worker's chunks."""
+    return ResultCache(directory, max_bytes=max_bytes)
+
+
+@lru_cache(maxsize=4)
+def _worker_stream_cache(directory: Optional[str]) -> EncodedStreamCache:
+    """Per-process encoded-stream cache handle.
+
+    ``None`` gives the worker a memory-only cache (the cells of one
+    worker's lifetime still share).  Keys are content hashes, so a
+    long-lived handle can never serve a stale stream.
+    """
+    return EncodedStreamCache(directory)
+
+
+def _execute_pooled_chunk(
+    cells: Sequence[tuple[JobSpec, int]],
+    trace_dir: Optional[str],
+    cache_dir: Optional[str],
+    cache_max_bytes: Optional[int],
+    stream_dir: Optional[str],
+    share_streams: bool,
+) -> list[tuple[bool, object, float]]:
+    """Pool-worker entry point: :func:`_execute_chunk` on this process's
+    cache handles, opened by directory (the worker receives paths,
+    never a pickled stream), with ``worker_exit`` faults allowed to
+    kill the process — the pool absorbs a hard exit."""
+    return _execute_chunk(
+        cells,
+        trace_dir,
+        _worker_cache(cache_dir, cache_max_bytes) if cache_dir else None,
+        _worker_stream_cache(stream_dir) if share_streams else None,
+        True,
     )
+
+
+class _InProcessExecutor(concurrent.futures.Executor):
+    """Runs each submission to completion inside :meth:`submit`.
+
+    The serial stand-in for a process pool: the dispatch loop treats it
+    like any executor, so serial runs take exactly the pooled code path,
+    but nothing crosses a process boundary.
+    """
+
+    def submit(self, fn, /, *args, **kwargs):
+        future: concurrent.futures.Future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as error:  # noqa: BLE001 - surfaced by result()
+            future.set_exception(error)
+        return future
 
 
 def resolve_workers(max_workers: Optional[int]) -> int:
@@ -1275,211 +1262,162 @@ def _attempt_labels(spec: JobSpec, attempt: int) -> list[str]:
     ]
 
 
+def _with_run_level(spec: JobSpec, options: RunnerOptions) -> JobSpec:
+    """Fill a spec's unset faults/rate/scenario from run-level options.
+
+    A spec-level value always wins — it is part of the cache key.  An
+    empty run-level fault plan applies nothing.
+    """
+    run_level = {
+        "faults": options.faults or None,
+        "rate": options.rate,
+        "scenario": options.scenario,
+    }
+    updates = {
+        name: value
+        for name, value in run_level.items()
+        if value is not None and getattr(spec, name) is None
+    }
+    return dataclasses.replace(spec, **updates) if updates else spec
+
+
 def run_grid(
     jobs: Iterable[JobSpec],
-    max_workers: Optional[int] = None,
-    cache: Optional[ResultCache] = None,
-    timeout: Optional[float] = None,
-    trace_dir: Optional[Union[str, Path]] = None,
-    retry: Optional[RetryPolicy] = None,
-    faults: Optional[FaultPlan] = None,
-    manifest_path: Optional[Union[str, Path]] = None,
-    stream_cache: Optional[EncodedStreamCache] = None,
-    share_streams: Optional[bool] = None,
-    rate: Optional[RateControlConfig] = None,
-    scenario: Optional[ScenarioPack] = None,
     options: Optional[RunnerOptions] = None,
+    *,
+    cache: Optional[ResultCache] = None,
+    stream_cache: Optional[EncodedStreamCache] = None,
 ) -> list[Union[JobResult, JobFailure]]:
-    """Run a grid of jobs, in parallel, with caching and error capture.
+    """Run a grid of jobs with caching, retry and error capture.
 
     Args:
         jobs: the grid cells; results come back in the same order.
-        options: a :class:`RunnerOptions` bundle supplying defaults for
-            every other argument; any argument passed explicitly still
-            wins.  ``run_grid(jobs, options=opts)`` is the one-call form
-            the CLI verbs and the service daemon share.
-        max_workers: process count; ``None`` uses every core, ``1``
-            (or a single uncached job, or a platform without a working
-            process pool) runs serially in this process.
-        cache: optional on-disk result cache.  Cached cells are
-            returned immediately (``from_cache=True``) without touching
-            the pool; fresh successes are written back.  Failures are
-            never cached.
-        timeout: per-job wall-clock limit in seconds, enforced while
-            collecting pool results — a cell that exceeds it becomes a
-            :class:`JobFailure` with ``error_type="TimeoutError"`` (or
-            is retried, under a ``retry`` policy).  Best-effort: an
-            already-running worker process is not killed, and the
-            serial path cannot preempt a job at all.
-        trace_dir: when given, every *executed* cell runs under a
-            :class:`repro.obs.Tracer` and writes a per-job
-            ``job-*.jsonl`` trace into this directory (workers cannot
-            share one file); after the grid completes they are merged
-            into ``trace_dir/trace.jsonl``.  Cache hits execute
-            nothing, so they contribute no spans.  Tracing never
-            changes results.
-        retry: bounded-retry policy for failed cells.  A cell that
-            fails (raises, times out, or takes its pool down) is re-run
-            up to ``retry.max_attempts`` total times with the policy's
-            jittered exponential backoff between attempts; a cell still
-            failing with the budget spent comes back as a *quarantined*
-            :class:`JobFailure`.  Default: one attempt, no retries.
-        faults: run-level :class:`~repro.faults.FaultPlan` applied to
-            every spec that does not already carry its own plan (a
-            spec-level plan wins — it is part of the cache key).
-        manifest_path: when given, a :class:`GridManifest` JSON file is
-            written here after the grid completes — every submitted
-            job, succeeded or failed, for machine consumption.  Written
-            even when everything succeeded (``complete: true``).
-        stream_cache: encoded-stream cache for encode-once execution.
-            Defaults to one rooted at ``<cache dir>/streams`` when a
-            result ``cache`` is given, else a memory-only cache per
-            process.  Workers receive the cache *directory*, never a
-            pickled stream.
-        share_streams: set False to force every cell through the full
-            encode+transmit pipeline (the A/B lever the equivalence
-            tests and ``bench_grid_reuse`` pull).  Sharing never
-            changes values — cells that differ only in channel
-            conditions replay one byte-identical stream; cells whose
-            fault plans corrupt the encode stage opt out on their own.
-        rate: run-level :class:`~repro.codec.rate.RateControlConfig`
-            applied to every spec that does not already carry its own
-            (a spec-level config wins — it is part of the cache key).
-            This is the matched-bitrate switch: one config, every
-            scheme chases the same kbps target.
-        scenario: run-level
-            :class:`~repro.scenarios.pack.ScenarioPack` applied to
-            every spec that does not already carry its own (a
-            spec-level pack wins — it is part of the cache key): one
-            channel timeline, every cell.
+        options: every execution knob — workers, result cache, stream
+            sharing, retries, per-job timeout, fault plan, trace
+            directory, manifest, run-level rate config and scenario
+            (see :class:`RunnerOptions`).  ``None`` runs on every core
+            without an on-disk cache.
+        cache: a result-cache object to use instead of the one
+            ``options`` describes (lets a caller share one handle, and
+            its hit/miss counters, across several grids).
+        stream_cache: likewise for the encoded-stream cache; ignored
+            when ``options.share_streams`` is off.
 
     Returns:
         One :class:`JobResult` or :class:`JobFailure` per input spec,
         order-aligned with ``jobs``.  Outcomes are deterministic: the
         worker count changes wall time, never values.
 
-    Dispatch granularity: when no retries, timeouts or faults are
-    configured (the common sweep), uncached jobs are shipped to the
-    pool in coarse chunks — one round-trip per chunk instead of per
-    job, with workers writing their own cache entries — which removes
-    most of the fan-out overhead on small grids.  Retry/timeout/fault
-    runs keep per-job futures, since those features need to observe
-    individual cells in flight.
+    Semantics, identical at every worker count:
+
+    * Cached cells return immediately (``from_cache=True``); fresh
+      successes are written back, failures never are.
+    * A failed cell (raised, timed out, or took its pool down) is re-run
+      up to ``retries`` more times with jittered exponential backoff
+      (:class:`RetryPolicy`); one still failing with the budget spent
+      comes back as a *quarantined* :class:`JobFailure`.
+    * ``job_timeout`` is enforced while collecting results: a cell that
+      exceeds it fails with ``error_type="TimeoutError"``.  Best-effort
+      — a running worker is not killed, and in-process execution cannot
+      be preempted at all.
+    * Run-level ``faults``, ``rate`` and ``scenario`` apply to every
+      spec that does not carry its own.
+    * With ``trace_dir``, every executed cell writes a per-job trace,
+      merged into ``trace_dir/trace.jsonl`` at the end (cache hits
+      execute nothing and add no spans).  Tracing never changes results.
+    * With ``manifest_path``, a :class:`GridManifest` accounting for
+      every submitted job is written when the grid completes.
     """
-    if options is not None:
-        if max_workers is None:
-            max_workers = options.max_workers
-        if cache is None:
-            cache = options.build_cache()
-        if timeout is None:
-            timeout = options.job_timeout
-        if trace_dir is None:
-            trace_dir = options.trace_dir
-        if retry is None:
-            retry = options.retry_policy
-        if faults is None:
-            faults = options.faults
-        if manifest_path is None:
-            manifest_path = options.manifest_path
-        if share_streams is None:
-            share_streams = options.share_streams
-        if stream_cache is None:
-            stream_cache = options.build_stream_cache(cache)
-        if rate is None:
-            rate = options.rate
-        if scenario is None:
-            scenario = options.scenario
-    if share_streams is None:
-        share_streams = True
-
-    specs = list(jobs)
-    if faults is not None and faults:
-        specs = [
-            spec if spec.faults is not None
-            else dataclasses.replace(spec, faults=faults)
-            for spec in specs
-        ]
-    if rate is not None:
-        specs = [
-            spec if spec.rate is not None
-            else dataclasses.replace(spec, rate=rate)
-            for spec in specs
-        ]
-    if scenario is not None:
-        specs = [
-            spec if spec.scenario is not None
-            else dataclasses.replace(spec, scenario=scenario)
-            for spec in specs
-        ]
-    retry = retry or RetryPolicy()
-    outcomes: dict[int, Union[JobResult, JobFailure]] = {}
-
-    trace_dir_arg: Optional[str] = None
-    if trace_dir is not None:
-        trace_path = Path(trace_dir)
-        trace_path.mkdir(parents=True, exist_ok=True)
-        trace_dir_arg = str(trace_path)
-
-    stream_dir_arg: Optional[str] = None
-    if share_streams:
-        if stream_cache is None:
-            stream_cache = EncodedStreamCache(
-                cache.directory / "streams" if cache is not None else None
-            )
-        if stream_cache.directory is not None:
-            stream_dir_arg = str(stream_cache.directory)
-    else:
+    if options is None:
+        options = RunnerOptions(jobs=0, use_cache=False)
+    if cache is None:
+        cache = options.build_cache()
+    if not options.share_streams:
         stream_cache = None
+    elif stream_cache is None:
+        stream_cache = options.build_stream_cache(cache)
+    retry = options.retry_policy or RetryPolicy()
+    timeout = options.job_timeout
+    trace_dir: Optional[str] = None
+    if options.trace_dir is not None:
+        Path(options.trace_dir).mkdir(parents=True, exist_ok=True)
+        trace_dir = str(Path(options.trace_dir))
 
-    pending: list[int] = []
+    specs = [_with_run_level(spec, options) for spec in jobs]
+    outcomes: dict[int, Union[JobResult, JobFailure]] = {}
     labels: dict[int, list[str]] = {}
+    pending: list[int] = []
     for index, spec in enumerate(specs):
         labels[index] = _poison_cache_entries(spec, cache)
-        if cache is not None:
-            hit = cache.get(spec.content_hash())
-            if hit is not None:
-                outcomes[index] = JobResult(
-                    spec=spec,
-                    result=hit,
-                    wall_time_s=0.0,
-                    from_cache=True,
-                    injected_faults=tuple(labels[index]),
-                )
-                continue
-        pending.append(index)
+        hit = cache.get(spec.content_hash()) if cache is not None else None
+        if hit is None:
+            pending.append(index)
+            continue
+        outcomes[index] = JobResult(
+            spec=spec,
+            result=hit,
+            wall_time_s=0.0,
+            from_cache=True,
+            injected_faults=tuple(labels[index]),
+        )
+    attempts = {index: 1 for index in pending}
+    workers = min(resolve_workers(options.max_workers), max(len(pending), 1))
 
-    workers = min(resolve_workers(max_workers), max(len(pending), 1))
-    attempts: dict[int, int] = {index: 1 for index in pending}
+    # Chunk-size policy: a few coarse chunks per worker on the clean
+    # path (one round-trip per chunk, the pickle memo sharing config
+    # objects across its specs); single-cell chunks once retries, a
+    # timeout or a fault plan must observe cells individually.
+    per_cell = (
+        retry.max_attempts > 1
+        or timeout is not None
+        or any(specs[index].faults for index in pending)
+    )
+    chunk_size = 1 if per_cell else max(1, -(-len(pending) // (4 * workers)))
+    # Encode-group-contiguous dispatch: cells sharing an encoded stream
+    # land in the same chunk (hence the same worker's stream cache).
+    # Output order is unaffected — outcomes key on the original index.
+    if stream_cache is not None:
+        pending.sort(key=lambda i: (encode_content_hash(specs[i]), i))
+
+    def new_pool() -> concurrent.futures.Executor:
+        return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+
+    # In-process execution uses the caller's cache objects and degrades
+    # worker_exit to a soft crash: this process must survive its own
+    # fault plan.  Pool workers open the caches by directory instead.
+    executor: concurrent.futures.Executor = _InProcessExecutor()
+    entry: Callable[..., list] = _execute_chunk
+    context: tuple = (trace_dir, cache, stream_cache, False)
+    if workers > 1:
+        try:
+            executor = new_pool()
+        except (NotImplementedError, OSError, PermissionError):
+            pass  # no usable process pool here: same results, in-process
+        else:
+            stream_dir = (
+                stream_cache.directory if stream_cache is not None else None
+            )
+            entry = _execute_pooled_chunk
+            context = (
+                trace_dir,
+                str(cache.directory) if cache is not None else None,
+                cache.max_bytes if cache is not None else None,
+                str(stream_dir) if stream_dir is not None else None,
+                stream_cache is not None,
+            )
+
+    queue: deque[tuple[list[int], concurrent.futures.Future]] = deque()
 
     def note_attempt(index: int) -> None:
-        labels[index].extend(
-            _attempt_labels(specs[index], attempts[index])
-        )
+        labels[index].extend(_attempt_labels(specs[index], attempts[index]))
 
-    def finish(
-        index: int,
-        ok: bool,
-        payload: object,
-        elapsed: float,
-        cache_written: bool = False,
-    ) -> None:
-        quarantined = (
-            not ok
-            and retry.max_attempts > 1
-            and attempts[index] >= retry.max_attempts
-        )
-        outcome = _outcome(
-            specs[index],
-            ok,
-            payload,
-            elapsed,
-            attempts=attempts[index],
-            injected=labels[index],
-            quarantined=quarantined,
-        )
-        if cache is not None and isinstance(outcome, JobResult) and not cache_written:
-            cache.put(specs[index].content_hash(), outcome.result)
-        outcomes[index] = outcome
+    def submit(chunk: list[int], front: bool = False) -> None:
+        cells = [(specs[i], attempts[i]) for i in chunk]
+        item = (chunk, executor.submit(entry, cells, *context))
+        if front:
+            queue.appendleft(item)
+        else:
+            queue.append(item)
 
     def should_retry(index: int, ok: bool) -> bool:
         if ok or attempts[index] >= retry.max_attempts:
@@ -1491,210 +1429,94 @@ def run_grid(
         note_attempt(index)
         return True
 
-    def collect() -> list[Union[JobResult, JobFailure]]:
-        if trace_dir_arg is not None:
-            merge_job_traces(trace_dir_arg)
-        results = [outcomes[i] for i in range(len(specs))]
-        if manifest_path is not None:
-            grid_manifest(results).write(manifest_path)
-        return results
-
-    def run_serial() -> list[Union[JobResult, JobFailure]]:
-        for index in pending:
-            note_attempt(index)
-            while True:
-                ok, payload, elapsed = _execute_job(
-                    specs[index],
-                    trace_dir_arg,
-                    attempts[index],
-                    share_streams=share_streams,
-                    stream_cache=stream_cache,
-                )
-                if not should_retry(index, ok):
-                    break
-            finish(index, ok, payload, elapsed)
-        return collect()
-
-    if workers <= 1:
-        return run_serial()
-
-    def make_executor() -> concurrent.futures.ProcessPoolExecutor:
-        return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-
-    try:
-        executor = make_executor()
-    except (NotImplementedError, OSError, PermissionError):
-        # No usable process pool on this platform: same results, serially.
-        return run_serial()
-
-    def run_chunked() -> list[Union[JobResult, JobFailure]]:
-        # Clean-path fan-out: no retries, timeouts or faults anywhere,
-        # so nothing needs per-job futures.  Ship the grid in coarse
-        # chunks (a few per worker keeps the pool load-balanced) and
-        # let workers write their own cache entries; the pickle memo
-        # shares the config objects across a chunk's specs, so the
-        # per-job submit payload shrinks along with the dispatch count.
-        chunksize = max(1, -(-len(pending) // (workers * 4)))
-        # Encode-group-contiguous dispatch: cells sharing an encoded
-        # stream land in the same chunk (hence the same worker's
-        # stream cache) whenever the grid's own order interleaves
-        # them.  Output order is unaffected — outcomes key on the
-        # original index.
-        dispatch = (
-            sorted(pending, key=lambda i: (encode_content_hash(specs[i]), i))
-            if share_streams
-            else pending
+    def finish(index: int, ok: bool, payload: object, elapsed: float) -> None:
+        common: dict[str, Any] = dict(
+            spec=specs[index],
+            wall_time_s=elapsed,
+            attempts=attempts[index],
+            injected_faults=tuple(labels[index]),
         )
-        chunks = [
-            dispatch[i : i + chunksize]
-            for i in range(0, len(dispatch), chunksize)
-        ]
-        cache_dir = str(cache.directory) if cache is not None else None
-        try:
-            chunk_futures = [
-                executor.submit(
-                    _execute_chunk,
-                    [specs[i] for i in chunk],
-                    trace_dir_arg,
-                    cache_dir,
-                    stream_dir_arg,
-                    share_streams,
-                )
-                for chunk in chunks
-            ]
-            for chunk, future in zip(chunks, chunk_futures):
-                for index in chunk:
-                    note_attempt(index)
-                try:
-                    chunk_outcomes = future.result()
-                except concurrent.futures.process.BrokenProcessPool as error:
-                    # The pool died under this chunk; with no retry
-                    # budget on the clean path the chunk's cells become
-                    # failures (the error-capture contract), and later
-                    # chunks report the same way as their futures fail.
-                    for index in chunk:
-                        finish(
-                            index,
-                            False,
-                            ("BrokenProcessPool", str(error), ""),
-                            0.0,
-                        )
-                    continue
-                for index, (ok, payload, elapsed) in zip(
-                    chunk, chunk_outcomes
-                ):
-                    finish(index, ok, payload, elapsed, cache_written=ok)
-        finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return collect()
-
-    clean_path = (
-        retry.max_attempts == 1
-        and timeout is None
-        and all(not specs[index].faults for index in pending)
-    )
-    if clean_path:
-        return run_chunked()
-
-    futures: dict[int, concurrent.futures.Future] = {}
-
-    def submit(index: int) -> None:
-        futures[index] = executor.submit(
-            _execute_job,
-            specs[index],
-            trace_dir_arg,
-            attempts[index],
-            True,  # allow_process_exit: the pool absorbs a hard exit
-            stream_dir_arg,
-            share_streams,
+        if ok:
+            outcomes[index] = JobResult(result=payload, **common)
+            return
+        error_type, message, tb_text = payload
+        outcomes[index] = JobFailure(
+            error_type=error_type,
+            message=message,
+            traceback_text=tb_text,
+            quarantined=(
+                retry.max_attempts > 1
+                and attempts[index] >= retry.max_attempts
+            ),
+            **common,
         )
 
-    def rebuild_and_resubmit() -> None:
+    def rebuild(first: list[int]) -> None:
         # A worker hard-died and took the pool's queues with it: every
-        # in-flight future is lost.  Rebuild the pool and resubmit the
-        # cells that have no outcome yet.  A cell whose *current*
-        # attempt is itself scheduled to hard-exit spends that attempt
-        # first (the plan is deterministic, so the parent knows without
-        # hearing back) — resubmitting it unchanged would just kill the
-        # fresh pool again and bleed the other cells' retry budgets.
+        # in-flight chunk is lost.  Rebuild the pool and resubmit them.
+        # A cell whose *current* attempt is itself scheduled to hard-exit
+        # spends that attempt first (the plan is deterministic, so the
+        # parent knows without hearing back) — resubmitting it unchanged
+        # would just kill the fresh pool again and bleed the other
+        # cells' retry budgets.
         nonlocal executor
         executor.shutdown(wait=False, cancel_futures=True)
-        executor = make_executor()
-        for index in pending:
-            if index in outcomes:
-                continue
-            while (
-                attempts[index] < retry.max_attempts
-                and f"worker_exit@{attempts[index]}" in labels[index]
-            ):
-                attempts[index] += 1
-                note_attempt(index)
-            submit(index)
+        executor = new_pool()
+        stale = ([first] if first else []) + [chunk for chunk, _ in queue]
+        queue.clear()
+        for chunk in stale:
+            for index in chunk:
+                while (
+                    attempts[index] < retry.max_attempts
+                    and f"worker_exit@{attempts[index]}" in labels[index]
+                ):
+                    attempts[index] += 1
+                    note_attempt(index)
+            submit(chunk)
 
     try:
-        for index in pending:
-            note_attempt(index)
-            submit(index)
-        for index in pending:
-            while index not in outcomes:
-                try:
-                    ok, payload, elapsed = futures[index].result(
-                        timeout=timeout
-                    )
-                except concurrent.futures.TimeoutError:
-                    futures[index].cancel()
-                    ok = False
-                    payload = (
-                        "TimeoutError",
-                        f"job exceeded {timeout}s",
-                        "",
-                    )
-                    elapsed = float(timeout or 0.0)
-                except concurrent.futures.process.BrokenProcessPool as error:
-                    ok = False
-                    payload = ("BrokenProcessPool", str(error), "")
-                    elapsed = 0.0
-                    if should_retry(index, ok):
-                        rebuild_and_resubmit()
-                        continue
-                    finish(index, ok, payload, elapsed)
-                    rebuild_and_resubmit()
-                    continue
+        for start in range(0, len(pending), chunk_size):
+            chunk = pending[start : start + chunk_size]
+            for index in chunk:
+                note_attempt(index)
+            submit(chunk)
+        while queue:
+            chunk, future = queue.popleft()
+            broken = False
+            try:
+                results = future.result(timeout=timeout)
+            except concurrent.futures.TimeoutError:
+                future.cancel()
+                failed = ("TimeoutError", f"job exceeded {timeout}s", "")
+                results = [(False, failed, float(timeout or 0.0))] * len(chunk)
+            except concurrent.futures.process.BrokenProcessPool as error:
+                broken = True
+                failed = ("BrokenProcessPool", str(error), "")
+                results = [(False, failed, 0.0)] * len(chunk)
+            again = []
+            for index, (ok, payload, elapsed) in zip(chunk, results):
                 if should_retry(index, ok):
-                    submit(index)
-                    continue
-                finish(index, ok, payload, elapsed)
+                    again.append(index)
+                else:
+                    finish(index, ok, payload, elapsed)
+            if broken:
+                rebuild(again)
+            elif again:
+                submit(again, front=True)
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
 
-    return collect()
+    if trace_dir is not None:
+        merge_job_traces(trace_dir)
+    ordered = [outcomes[index] for index in range(len(specs))]
+    if options.manifest_path is not None:
+        grid_manifest(ordered).write(options.manifest_path)
+    return ordered
 
 
 # ---------------------------------------------------------------------------
-# Lower-level parallel simulate (for already-built experiment objects)
+# In-process simulate (for already-built experiment objects)
 # ---------------------------------------------------------------------------
-
-
-def _execute_simulation(task: tuple) -> SimulationResult:
-    sequence, strategy, loss_model, config = task
-    return simulate(sequence, strategy, loss_model=loss_model, config=config)
-
-
-def _execute_transmit(task: tuple) -> SimulationResult:
-    """Replay one channel realization against a pre-encoded stream.
-
-    The transmit-only sibling of :func:`_execute_simulation` for tasks
-    whose encode phase was shared; opens the same ``simulate`` trace
-    root so per-run span structure stays uniform either way.
-    """
-    stream, sequence, loss_model, config = task
-    tracer = get_tracer()
-    with tracer.span("simulate") as run_span:
-        run_span.add(frames=stream.n_frames)
-        tracer.metrics.gauge("sim.frames", stream.n_frames)
-        return transmit_phase(
-            stream, sequence, loss_model=loss_model, config=config
-        )
 
 
 def _simulation_signature(
@@ -1726,80 +1548,57 @@ def _simulation_signature(
         return None
 
 
-def run_simulations(
-    tasks: Sequence[tuple],
-    max_workers: Optional[int] = 1,
-    share_streams: bool = True,
-) -> list[SimulationResult]:
+def run_simulations(tasks: Sequence[tuple]) -> list[SimulationResult]:
     """Run ``simulate`` over (sequence, strategy, loss_model, config) tuples.
 
     The object-level counterpart of :func:`run_grid`, used by
     :func:`repro.sim.experiment.sweep` and
     :func:`~repro.sim.experiment.replicate`: strategies and loss models
     are instantiated by the *caller* (fresh per run — they are
-    stateful), then shipped to workers as initial-state instances.
+    stateful) and run in this process, so they may be arbitrary
+    objects.  Parallel grids go through :func:`run_grid` instead.
 
-    With ``share_streams`` (the default), tasks whose strategies round-
-    trip through the spec registry are grouped by encode key; each
-    group with two or more members is encoded once in the parent and
-    its members run only the transmit phase — a replication sweep over
-    channel seeds pays for one encode instead of N.  Groups of one and
-    non-registry strategies run the full pipeline unchanged, and the
-    results are value-identical either way.
-
-    Falls back to serial execution when ``max_workers`` is 1, when a
-    task does not pickle (user-supplied objects are arbitrary), or when
-    the platform has no working process pool.  Exceptions propagate to
-    the caller unchanged, matching the serial semantics these helpers
-    always had.
+    Tasks whose strategies round-trip through the spec registry are
+    grouped by encode key; each group with two or more members is
+    encoded once and its members run only the transmit phase — a
+    replication sweep over channel seeds pays for one encode instead of
+    N.  Groups of one and non-registry strategies run the full
+    pipeline, and the results are value-identical either way.
+    Exceptions propagate to the caller unchanged.
     """
     tasks = list(tasks)
-
-    runs: list[tuple[Callable[[tuple], SimulationResult], tuple]] = []
-    if share_streams:
-        digests: dict[int, str] = {}
-        signatures = [_simulation_signature(task, digests) for task in tasks]
-        members: dict[str, int] = {}
-        for signature in signatures:
-            if signature is not None:
-                members[signature] = members.get(signature, 0) + 1
-        streams: dict[str, EncodedStream] = {}
-        for task, signature in zip(tasks, signatures):
-            if signature is None or members[signature] < 2:
-                runs.append((_execute_simulation, task))
-                continue
-            if signature not in streams:
-                sequence, strategy, _, config = task
-                streams[signature] = encode_phase(
-                    sequence, strategy, config=config
-                )
-            runs.append(
-                (
-                    _execute_transmit,
-                    (streams[signature], task[0], task[2], task[3]),
+    digests: dict[int, str] = {}
+    signatures = [_simulation_signature(task, digests) for task in tasks]
+    members: dict[str, int] = {}
+    for signature in signatures:
+        if signature is not None:
+            members[signature] = members.get(signature, 0) + 1
+    streams: dict[str, EncodedStream] = {}
+    results = []
+    for (sequence, strategy, loss_model, config), signature in zip(
+        tasks, signatures
+    ):
+        if signature is None or members[signature] < 2:
+            results.append(
+                simulate(
+                    sequence, strategy, loss_model=loss_model, config=config
                 )
             )
-    else:
-        runs = [(_execute_simulation, task) for task in tasks]
-
-    workers = min(resolve_workers(max_workers), max(len(tasks), 1))
-    if workers > 1:
-        try:
-            for _, payload in runs:
-                pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception:
-            workers = 1
-
-    if workers <= 1:
-        return [fn(payload) for fn, payload in runs]
-
-    try:
-        executor = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-    except (NotImplementedError, OSError, PermissionError):
-        return [fn(payload) for fn, payload in runs]
-
-    with executor:
-        futures = [
-            executor.submit(fn, payload) for fn, payload in runs
-        ]
-        return [future.result() for future in futures]
+            continue
+        if signature not in streams:
+            streams[signature] = encode_phase(
+                sequence, strategy, config=config
+            )
+        stream = streams[signature]
+        # The same ``simulate`` trace root the full pipeline opens, so
+        # per-run span structure stays uniform either way.
+        tracer = get_tracer()
+        with tracer.span("simulate") as run_span:
+            run_span.add(frames=stream.n_frames)
+            tracer.metrics.gauge("sim.frames", stream.n_frames)
+            results.append(
+                transmit_phase(
+                    stream, sequence, loss_model=loss_model, config=config
+                )
+            )
+    return results

@@ -69,7 +69,7 @@ class TestFacadeSurface:
             api.simulate(
                 video,
                 strategy=api.make_strategy("NO"),
-                loss_model=repro.UniformLoss(plr=0.1),
+                loss_model=api.UniformLoss(plr=0.1),
                 plr=0.1,
             )
 

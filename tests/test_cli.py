@@ -188,6 +188,43 @@ class TestRateControlFlags:
             )
 
 
+class TestServeCommand:
+    def test_manifest_flag_moves_the_service_manifest(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import asyncio
+
+        import repro.service
+        from repro.service import load_service_manifest
+        from repro.service.daemon import EncodeDaemon
+
+        def serve_until_drained(config):
+            # The real daemon, asked to stop before it starts: it binds,
+            # shuts down at once and writes its manifest.
+            daemon = EncodeDaemon(config)
+            daemon.request_shutdown()
+            return asyncio.run(daemon.run())
+
+        monkeypatch.setattr(repro.service, "serve", serve_until_drained)
+        manifest = tmp_path / "out" / "fleet.json"
+        queue_dir = tmp_path / "queue"
+        argv = [
+            "serve",
+            "--queue-dir",
+            str(queue_dir),
+            "--port",
+            "0",
+            "--cache-dir",
+            str(tmp_path / "cache"),
+            "--manifest",
+            str(manifest),
+        ]
+        assert main(argv) == 0
+        assert load_service_manifest(manifest).n_jobs == 0
+        assert not (queue_dir / "service_manifest.json").exists()
+        assert f"manifest written to {manifest}" in capsys.readouterr().err
+
+
 class TestSigmaCommand:
     def test_sigma_prints_heatmaps(self, capsys):
         assert main(["sigma", "--frames", "8", "--sequence", "akiyo"]) == 0

@@ -29,6 +29,7 @@ from repro.sim.pipeline import (
 from repro.sim.runner import (
     EncodedStreamCache,
     JobSpec,
+    RunnerOptions,
     encode_content_hash,
     run_grid,
     run_job,
@@ -191,12 +192,16 @@ class TestEncodeKeys:
 class TestGridSharing:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_share_on_off_identical(self, workers, tmp_path):
+        options = RunnerOptions(jobs=workers, use_cache=False)
         shared = run_grid(
-            _grid(), max_workers=workers,
+            _grid(), options=options,
             stream_cache=EncodedStreamCache(tmp_path / "streams"),
         )
         unshared = run_grid(
-            _grid(), max_workers=workers, share_streams=False
+            _grid(),
+            options=RunnerOptions(
+                jobs=workers, use_cache=False, share_streams=False
+            ),
         )
         assert len(shared) == len(unshared)
         for a, b in zip(shared, unshared):
@@ -261,10 +266,12 @@ class TestRunSimulationsSharing:
         ]
 
     def test_share_on_off_identical(self):
-        shared = run_simulations(self._tasks(), max_workers=1)
-        unshared = run_simulations(
-            self._tasks(), max_workers=1, share_streams=False
-        )
+        # "Off" is the plain pipeline, one full simulate per task.
+        shared = run_simulations(self._tasks())
+        unshared = [
+            simulate(sequence, strategy, loss_model=loss, config=config)
+            for sequence, strategy, loss, config in self._tasks()
+        ]
         for a, b in zip(shared, unshared):
             assert_results_equal(a, b)
 

@@ -32,7 +32,7 @@ from repro.network.packet import Packetizer
 from repro.obs import Tracer, load_trace, trace_summary, use_tracer, write_trace
 from repro.resilience.none import NoResilience
 from repro.sim.pipeline import SimulationConfig, simulate
-from repro.sim.runner import JobSpec, run_grid
+from repro.sim.runner import JobSpec, RunnerOptions, run_grid
 from repro.video.synthetic import SyntheticConfig
 
 from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
@@ -293,8 +293,12 @@ class TestGridDeterminism:
         ]
 
     def test_identical_results_across_worker_counts(self):
-        serial = run_grid(self._jobs(), max_workers=1)
-        pooled = run_grid(self._jobs(), max_workers=2)
+        serial = run_grid(
+            self._jobs(), options=RunnerOptions(jobs=1, use_cache=False)
+        )
+        pooled = run_grid(
+            self._jobs(), options=RunnerOptions(jobs=2, use_cache=False)
+        )
         for s, p in zip(serial, pooled):
             assert s.ok and p.ok
             assert s.result.frames == p.result.frames

@@ -30,7 +30,7 @@ from repro.obs import (
 )
 from repro.resilience.registry import build_strategy
 from repro.sim.pipeline import SimulationConfig, simulate
-from repro.sim.runner import JobSpec, run_grid
+from repro.sim.runner import JobSpec, RunnerOptions, run_grid
 from repro.video.synthetic import SyntheticConfig
 
 from tests.conftest import SMALL_H, SMALL_W, small_config, small_sequence
@@ -319,7 +319,8 @@ class TestRunnerTracing:
     def test_run_grid_merges_job_traces(self, tmp_path):
         trace_dir = tmp_path / "traces"
         outcomes = run_grid(
-            self._jobs(), max_workers=1, cache=None, trace_dir=trace_dir
+            self._jobs(),
+            options=RunnerOptions(use_cache=False, trace_dir=trace_dir),
         )
         assert len(outcomes) == 2
         assert len(job_trace_files(trace_dir)) == 2
@@ -329,13 +330,16 @@ class TestRunnerTracing:
         assert len(roots) == 2
 
     def test_untraced_grid_writes_nothing(self, tmp_path):
-        run_grid(self._jobs(), max_workers=1, cache=None)
+        run_grid(self._jobs(), options=RunnerOptions(use_cache=False))
         assert list(tmp_path.iterdir()) == []
 
     def test_grid_results_unchanged_by_tracing(self, tmp_path):
-        plain = run_grid(self._jobs(), max_workers=1, cache=None)
+        plain = run_grid(
+            self._jobs(), options=RunnerOptions(use_cache=False)
+        )
         traced = run_grid(
-            self._jobs(), max_workers=1, cache=None, trace_dir=tmp_path
+            self._jobs(),
+            options=RunnerOptions(use_cache=False, trace_dir=tmp_path),
         )
         for a, b in zip(plain, traced):
             assert a.result.frames == b.result.frames

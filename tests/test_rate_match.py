@@ -1,4 +1,4 @@
-"""Matched-bitrate comparison API: RateMatchSpec, the deprecated shim,
+"""Matched-bitrate comparison API: RateMatchSpec, calibration,
 rate-aware cache keys and grid determinism under rate control."""
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from repro.sim.experiment import (
     CalibrationResult,
     RateMatchSpec,
     calibrate_intra_th,
-    match_intra_th_to_size,
 )
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.runner import (
@@ -82,16 +81,7 @@ class TestRateMatchSpec:
 
 
 class TestDeprecatedShim:
-    def test_shim_warns_and_delegates(self, clip, sim_config):
-        calibrated = calibrate_intra_th(
-            clip, 6000, plr=0.1, config=sim_config, max_iterations=2
-        )
-        with pytest.warns(DeprecationWarning, match="RateMatchSpec"):
-            shimmed = match_intra_th_to_size(
-                clip, 6000, plr=0.1, config=sim_config, max_iterations=2
-            )
-        assert isinstance(shimmed, CalibrationResult)
-        assert float(shimmed) == float(calibrated)
+    """The deprecated alias is gone; its replacement must stay silent."""
 
     def test_calibrate_does_not_warn(self, clip, sim_config):
         import warnings

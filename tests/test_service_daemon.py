@@ -7,7 +7,9 @@ import time
 
 import pytest
 
+from repro.codec.rate import RateControlConfig
 from repro.faults import FaultPlan, FaultSpec
+from repro.scenarios import load_pack
 from repro.service import (
     JobSubmit,
     ServiceBusy,
@@ -155,6 +157,46 @@ class TestEndToEnd:
         batch = run_grid(specs)  # no cache: a fully independent run
         batch_digests = [session_result_digest(o.result) for o in batch]
         assert daemon_digests == batch_digests
+
+    @pytest.mark.parametrize(
+        "knob",
+        [
+            {"rate": RateControlConfig(target_kbps=50.0)},
+            {"scenario": load_pack("deep-fade")},
+        ],
+        ids=["rate", "scenario"],
+    )
+    def test_runner_rate_and_scenario_reach_the_batches(self, tmp_path, knob):
+        """Run-level options apply to daemon batches exactly as to run_grid."""
+        spec = tiny_spec(seed=3, plr=0.3)
+        runner = RunnerOptions(jobs=1, cache_dir=tmp_path / "cache", **knob)
+        config = daemon_config(tmp_path, runner=runner)
+        with start_daemon(config) as handle:
+            client = ServiceClient(handle.url)
+            job_ids = client.submit(JobSubmit(spec=spec))
+            client.wait(job_ids, timeout=WAIT_S)
+            digest = client.result(job_ids[0]).result_digest
+            client.shutdown()
+        batch = run_grid(
+            [spec], options=RunnerOptions(jobs=1, use_cache=False, **knob)
+        )
+        plain = run_grid(
+            [spec], options=RunnerOptions(jobs=1, use_cache=False)
+        )
+        assert digest == session_result_digest(batch[0].result)
+        assert digest != session_result_digest(plain[0].result)
+
+    def test_runner_manifest_path_never_written_per_batch(self, tmp_path):
+        grid_manifest = tmp_path / "grid.json"
+        runner = RunnerOptions(
+            jobs=1, cache_dir=tmp_path / "cache", manifest_path=grid_manifest
+        )
+        with start_daemon(daemon_config(tmp_path, runner=runner)) as handle:
+            client = ServiceClient(handle.url)
+            job_ids = client.submit(JobSubmit(spec=tiny_spec()))
+            client.wait(job_ids, timeout=WAIT_S)
+            client.shutdown()
+        assert not grid_manifest.exists()
 
     def test_unknown_job_is_404(self, tmp_path):
         with start_daemon(daemon_config(tmp_path)) as handle:

@@ -33,6 +33,7 @@ from repro.sim.runner import (
     SUPPORTED_MANIFEST_SCHEMAS,
     GridManifest,
     JobSpec,
+    RunnerOptions,
     load_manifest,
     run_grid,
 )
@@ -367,7 +368,10 @@ class TestGridManifestVersioning:
 
     def test_v2_writes_both_version_keys(self, tmp_path):
         path = tmp_path / "m.json"
-        run_grid([tiny_spec()], manifest_path=path)
+        run_grid(
+            [tiny_spec()],
+            options=RunnerOptions(use_cache=False, manifest_path=path),
+        )
         record = json.loads(path.read_text())
         assert record["schema"] == 2
         assert record["schema_version"] == 2
@@ -375,7 +379,10 @@ class TestGridManifestVersioning:
 
     def test_loader_accepts_previous_version(self, tmp_path):
         path = tmp_path / "m.json"
-        run_grid([tiny_spec()], manifest_path=path)
+        run_grid(
+            [tiny_spec()],
+            options=RunnerOptions(use_cache=False, manifest_path=path),
+        )
         record = json.loads(path.read_text())
         # Rewrite as a v1 file: only the old "schema" key, no
         # "schema_version", no v2-only counters.
