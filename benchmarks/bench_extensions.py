@@ -16,8 +16,9 @@ from repro.api import (
     BitErrorChannel,
     CodecConfig,
     GilbertElliottLoss,
+    ClosedLoopRateController,
     NoLoss,
-    RateController,
+    RateControlConfig,
     SimulationConfig,
     UniformLoss,
     foreman_like,
@@ -192,7 +193,9 @@ def test_rate_control_with_pbpair(benchmark, sequence):
     target_bits = 16000
 
     def run():
-        controller = RateController(target_bits, base_qp=6)
+        controller = ClosedLoopRateController(
+            RateControlConfig(target_kbps=target_bits * 30 / 1000, base_qp=6)
+        )
         return simulate(
             sequence,
             strategy=make_strategy("PBPAIR", intra_th=INTRA_TH, plr=PLR),

@@ -4,8 +4,9 @@ The paper's figures replicate every (scheme, PLR) cell over several
 channel seeds, and the channel only ever sees the *encoded* stream —
 so a grid of S schemes x K seeds needs S encodes, not S*K.  This
 benchmark runs the replication grid used by ``BENCH_runner.json``
-(4 schemes x 4 channel seeds on AKIYO) with stream sharing on and off
-and records:
+(4 schemes x 4 channel seeds on AKIYO) through the runner's stream
+cache and, as the unshared baseline, one plain :func:`run_job` per cell
+(no stream cache: the full pipeline), and records:
 
 * the structural reduction — cells per unique encode key, a
   deterministic property of the grid (16 cells / 4 keys = 4.0 here),
@@ -35,7 +36,9 @@ from repro.api import (
     RunnerOptions,
     encode_content_hash,
     run_grid,
+    run_job,
 )
+
 try:
     from benchmarks.bench_runner_scaling import scaling_grid
 except ImportError:  # standalone: python benchmarks/bench_grid_reuse.py
@@ -49,11 +52,12 @@ def unique_encode_keys(jobs) -> int:
     return len({encode_content_hash(spec) for spec in jobs})
 
 
-def _timed_run(jobs, stream_cache=None, share=True) -> tuple[float, list]:
+def _timed_run(jobs, stream_cache) -> tuple[float, list]:
+    """The grid through the runner, sharing encodes via ``stream_cache``."""
     start = time.perf_counter()
     outcomes = run_grid(
         jobs,
-        options=RunnerOptions(jobs=1, use_cache=False, share_streams=share),
+        options=RunnerOptions(jobs=1, use_cache=False),
         stream_cache=stream_cache,
     )
     elapsed = time.perf_counter() - start
@@ -63,22 +67,26 @@ def _timed_run(jobs, stream_cache=None, share=True) -> tuple[float, list]:
             f"{len(failures)} grid cells failed: "
             f"{failures[0].error_type}: {failures[0].message}"
         )
-    return elapsed, outcomes
+    return elapsed, [o.result for o in outcomes]
 
 
-def _metrics(outcomes) -> list:
-    return [
-        (o.result.average_psnr_decoder, o.result.counters, o.result.energy)
-        for o in outcomes
-    ]
+def _timed_unshared(jobs) -> tuple[float, list]:
+    """The baseline: every cell encodes (run_job without a stream cache)."""
+    start = time.perf_counter()
+    results = [run_job(spec) for spec in jobs]
+    return time.perf_counter() - start, results
+
+
+def _metrics(results) -> list:
+    return [(r.average_psnr_decoder, r.counters, r.energy) for r in results]
 
 
 def measure(n_frames: int = DEFAULT_FRAMES) -> dict:
-    """Grid with sharing off, cold with sharing on, then warm."""
+    """Unshared baseline, then the shared grid cold, then warm."""
     jobs = scaling_grid(n_frames=n_frames)
     unique = unique_encode_keys(jobs)
 
-    unshared_s, unshared = _timed_run(jobs, share=False)
+    unshared_s, unshared = _timed_unshared(jobs)
 
     with tempfile.TemporaryDirectory() as tmp:
         cache = EncodedStreamCache(tmp, max_entries=max(unique, 8))
@@ -174,7 +182,7 @@ def test_grid_shares_one_encode_per_scheme():
 
 def test_shared_grid_results_identical_on_reduced_grid():
     jobs = scaling_grid(n_frames=2, schemes=("NO", "PBPAIR"), seeds=(1, 2))
-    _, unshared = _timed_run(jobs, share=False)
+    _, unshared = _timed_unshared(jobs)
     cache = EncodedStreamCache()
     _, shared = _timed_run(jobs, stream_cache=cache)
     assert _metrics(unshared) == _metrics(shared)

@@ -20,8 +20,14 @@ Two kinds of names live here:
       result = api.simulate(video, strategy=strategy, plr=0.1)
 
 * **Types** — the dataclasses those functions accept and return
-  (:class:`SimulationConfig`, :class:`ExperimentSpec`, ...), re-exported
-  unchanged.
+  (:class:`SimulationConfig`, :class:`ReplicationSummary`, ...),
+  re-exported unchanged.
+
+Grids of experiments — schemes x loss rates x channel seeds — are
+declared as :class:`JobSpec` cells and run by :func:`run_grid` (or
+:func:`run_fleet` for scenario packs); that is the one experiment
+harness.  :func:`replicate` covers the case a declarative spec cannot
+express, such as a custom loss model over an in-memory clip.
 
 The codec itself is part of the facade: :func:`encode_sequence` and
 :func:`decode_stream` cover the common encode/decode round trip with
@@ -74,10 +80,8 @@ from repro.codec.motion import (
 )
 from repro.codec.quant import dequantize_blocks, quantize_blocks
 from repro.codec.rate import (
-    AnyRateController,
     ClosedLoopRateController,
     RateControlConfig,
-    RateController,
     build_rate_controller,
 )
 from repro.codec.reference import (
@@ -154,17 +158,12 @@ from repro.resilience.pbpair_strategy import PBPAIRStrategy
 from repro.resilience.registry import STRATEGY_BUILDERS, build_strategy
 from repro.sim.experiment import (
     CalibrationResult,
-    ExperimentResult,
-    ExperimentSpec,
     RateMatchSpec,
     ReplicationSummary,
     calibrate_intra_th,
     total_encoded_bytes,
 )
-from repro.sim.experiment import comparison_specs as _comparison_specs
 from repro.sim.experiment import replicate as _replicate
-from repro.sim.experiment import run_experiment as _run_experiment
-from repro.sim.experiment import sweep as _sweep
 from repro.sim.pipeline import (
     EncodedStream,
     FrameRecord,
@@ -241,6 +240,7 @@ from repro.sim.runner import (
     grid_manifest,
     load_manifest,
     run_grid,
+    run_job,
 )
 from repro.video.frame import Frame, VideoSequence
 from repro.video.io import write_ppm
@@ -263,7 +263,7 @@ def simulate(
     seed: int = 1,
     config: Optional[SimulationConfig] = None,
     concealment: Optional[ConcealmentStrategy] = None,
-    rate_controller: Optional[AnyRateController] = None,
+    rate_controller: Optional[ClosedLoopRateController] = None,
     bit_errors: Optional[BitErrorChannel] = None,
     faults: Optional[FaultPlan] = None,
 ) -> SimulationResult:
@@ -296,26 +296,6 @@ def simulate(
     )
 
 
-def run_experiment(
-    sequence: VideoSequence,
-    *,
-    spec: ExperimentSpec,
-    config: Optional[SimulationConfig] = None,
-) -> ExperimentResult:
-    """Run one labelled :class:`ExperimentSpec` against one sequence."""
-    return _run_experiment(sequence, spec, config=config)
-
-
-def sweep(
-    sequence: VideoSequence,
-    *,
-    specs: Iterable[ExperimentSpec],
-    config: Optional[SimulationConfig] = None,
-) -> list[ExperimentResult]:
-    """Run several specs against one sequence, in-process, preserving order."""
-    return _sweep(sequence, specs, config=config)
-
-
 def replicate(
     sequence: VideoSequence,
     *,
@@ -335,18 +315,6 @@ def replicate(
         seeds,
         label=label,
         config=config,
-    )
-
-
-def comparison_specs(
-    scheme_specs: Sequence[str],
-    *,
-    loss_factory: Optional[Callable[[], LossModel]] = None,
-    pbpair_kwargs: Optional[dict] = None,
-) -> list[ExperimentSpec]:
-    """Build the paper's figure legends ("NO", "PBPAIR", "PGOP-3", ...)."""
-    return _comparison_specs(
-        scheme_specs, loss_factory=loss_factory, pbpair_kwargs=pbpair_kwargs
     )
 
 
@@ -435,10 +403,7 @@ def make_sequence(name: str, *, n_frames: int = 90) -> VideoSequence:
 __all__ = [
     # harness functions (keyword-only options)
     "simulate",
-    "run_experiment",
-    "sweep",
     "replicate",
-    "comparison_specs",
     "make_strategy",
     "make_sequence",
     "calibrate_intra_th",
@@ -469,7 +434,6 @@ __all__ = [
     "MacroblockMode",
     "Encoder",
     "Decoder",
-    "RateController",
     # batched block kernels and their scalar reference oracles
     "forward_dct_blocks",
     "inverse_dct_blocks",
@@ -490,8 +454,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationResult",
     "FrameRecord",
-    "ExperimentSpec",
-    "ExperimentResult",
     "ReplicationSummary",
     # network: packetization, channels and loss models
     "Packetizer",
@@ -565,6 +527,7 @@ __all__ = [
     "RunnerOptions",
     "build_grid",
     "run_grid",
+    "run_job",
     "GridManifest",
     "ManifestEntry",
     "grid_manifest",

@@ -22,8 +22,7 @@ Commands:
 
 The runner flags shared by ``compare``/``sweep``/``serve``
 (``--jobs``, ``--no-cache``, ``--cache-dir``, ``--faults``,
-``--retries``, ``--job-timeout``, ``--manifest``,
-``--no-stream-cache``) all resolve into one
+``--retries``, ``--job-timeout``, ``--manifest``) all resolve into one
 :class:`repro.sim.runner.RunnerOptions` bundle, so the execution
 semantics are identical whether a grid runs batch or behind the
 daemon.
@@ -44,6 +43,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -155,13 +155,6 @@ def _add_runner_options(parser: argparse.ArgumentParser) -> None:
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    parser.add_argument(
-        "--no-stream-cache",
-        action="store_true",
-        help="disable encoded-stream sharing: encode every grid cell "
-        "from scratch instead of replaying one stream per operating "
-        "point (results are identical either way)",
     )
     parser.add_argument(
         "--retries",
@@ -292,7 +285,6 @@ def _runner_options(args: argparse.Namespace) -> RunnerOptions:
             jobs=args.jobs,
             use_cache=not args.no_cache,
             cache_dir=args.cache_dir,
-            share_streams=not args.no_stream_cache,
             retries=args.retries,
             job_timeout=args.job_timeout,
             manifest_path=getattr(args, "manifest", None),
@@ -385,20 +377,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             "loss_model": UniformLoss(plr=args.plr, seed=args.seed)
         }
     trace_dir = _trace_dir(args)
-    trace_file: Optional[Path] = None
-    if trace_dir is not None:
-        tracer = Tracer(trace_id=f"{args.scheme} {video.name}")
-        with use_tracer(tracer):
-            result = simulate(
-                video,
-                strategy,
-                config=_config(args),
-                rate_controller=controller,
-                faults=faults,
-                **channel_kwargs,
-            )
-        trace_file = write_trace(trace_dir / MERGED_TRACE_NAME, tracer)
-    else:
+    tracer = (
+        Tracer(trace_id=f"{args.scheme} {video.name}")
+        if trace_dir is not None
+        else None
+    )
+    with use_tracer(tracer) if tracer is not None else nullcontext():
         result = simulate(
             video,
             strategy,
@@ -407,6 +391,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             faults=faults,
             **channel_kwargs,
         )
+    trace_file: Optional[Path] = (
+        write_trace(trace_dir / MERGED_TRACE_NAME, tracer)
+        if tracer is not None
+        else None
+    )
     print(f"sequence         : {video.name} ({result.n_frames} frames)")
     print(f"scheme           : {result.strategy_name}")
     print(f"delivered PSNR   : {result.average_psnr_decoder:.2f} dB")
@@ -455,7 +444,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     target = total_encoded_bytes(video, build_strategy("PGOP-3"), config)
     intra_th = calibrate_intra_th(
         video, target, plr=args.plr, config=config, max_iterations=8,
-        cache=cache, stream_cache=stream_cache,
+        stream_cache=stream_cache,
     )
     print(
         f"calibration: {intra_th.probes} probes, "

@@ -3,33 +3,22 @@
 The paper notes PBPAIR "is independent from any other encoder and/or
 decoder side control mechanisms (i.e. rate control, channel coding,
 etc.)" and leaves their cooperation as future work.  This module
-provides both halves of that cooperation:
+provides that cooperation: :class:`ClosedLoopRateController`, which the
+encode loop of :func:`~repro.sim.pipeline.encode_phase` drives — a
+per-frame bit budget with carry-over repayment, a QP<->bits table
+learned online from observed frame sizes, per-macroblock-row budget
+accounting from the bitstream's MB offsets, and joint steering of
+PBPAIR's ``Intra_Th`` so refresh intensity and quantizer chase one
+target bitrate together.  Its declarative twin,
+:class:`RateControlConfig`, is what travels in
+:class:`~repro.sim.runner.JobSpec` and over the service wire.
 
-* :class:`RateController` — the classic open-loop virtual-buffer
-  controller those H.263 encoders shipped with, kept unchanged for
-  callers that want the textbook law.
-* :class:`ClosedLoopRateController` — the closed-loop controller the
-  grid runner wires through :func:`~repro.sim.pipeline.encode_phase`:
-  a per-frame bit budget with carry-over repayment, a QP<->bits table
-  learned online from observed frame sizes, per-macroblock-row budget
-  accounting from the bitstream's MB offsets, and joint steering of
-  PBPAIR's ``Intra_Th`` so refresh intensity and quantizer chase one
-  target bitrate together.  Its declarative twin,
-  :class:`RateControlConfig`, is what travels in
-  :class:`~repro.sim.runner.JobSpec` and over the service wire.
-
-Both controllers drive the encoder the same way (the per-frame QP
-travels in each fragment header, so the decoder needs no side channel)
+The controller drives the encoder through the per-frame QP, which
+travels in each fragment header (the decoder needs no side channel),
 and any resilience strategy runs unchanged underneath.
 
-Virtual-buffer control law (:class:`RateController`): a leaky bucket
-integrates the overshoot ``bits - target`` each frame, and the
-quantizer is the base QP plus a term proportional to buffer fullness::
-
-    qp_k = clip(round(base_qp + sensitivity * buffer / target), 1, 31)
-
-Closed-loop control law (:class:`ClosedLoopRateController`): each
-frame's budget is the target minus a fraction of the accumulated debt
+Control law: each frame's budget is the target minus a fraction of the
+accumulated debt
 (``budget_k = target - sensitivity * debt / recovery_frames``), and the
 quantizer is the *smallest* QP whose predicted size fits that budget,
 read off an online table of observed (QP, bits) pairs interpolated by
@@ -40,73 +29,10 @@ the first-order ``bits ~ C / QP`` model, then clamped to move at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (types only)
     from repro.codec.types import EncodedFrame
-
-
-class RateController:
-    """Virtual-buffer quantizer controller targeting bits per frame.
-
-    Args:
-        target_bits_per_frame: the rate budget.
-        base_qp: quantizer when the buffer is empty.
-        sensitivity: QP steps added per target-frame of buffered
-            overshoot.
-        min_qp, max_qp: quantizer clamp range.
-    """
-
-    def __init__(
-        self,
-        target_bits_per_frame: int,
-        base_qp: int = 6,
-        sensitivity: float = 2.0,
-        min_qp: int = 1,
-        max_qp: int = 31,
-    ) -> None:
-        if target_bits_per_frame <= 0:
-            raise ValueError("target_bits_per_frame must be positive")
-        if not 1 <= min_qp <= base_qp <= max_qp <= 31:
-            raise ValueError("require 1 <= min_qp <= base_qp <= max_qp <= 31")
-        if sensitivity <= 0:
-            raise ValueError("sensitivity must be positive")
-        self.target_bits_per_frame = target_bits_per_frame
-        self.base_qp = base_qp
-        self.sensitivity = sensitivity
-        self.min_qp = min_qp
-        self.max_qp = max_qp
-        self._buffer_bits = 0.0
-
-    @property
-    def buffer_bits(self) -> float:
-        """Current virtual-buffer fullness (bits of accumulated overshoot)."""
-        return self._buffer_bits
-
-    @property
-    def quantizer(self) -> int:
-        """The QP the next frame should be encoded with."""
-        fullness = self._buffer_bits / self.target_bits_per_frame
-        qp = round(self.base_qp + self.sensitivity * fullness)
-        return int(min(max(qp, self.min_qp), self.max_qp))
-
-    #: How many target frames of savings the buffer may bank; bounds
-    #: how far sustained undershoot can refine the quantizer and how
-    #: large a burst the encoder may spend afterwards.
-    MAX_BANKED_FRAMES = 3.0
-
-    def observe(self, bits: int) -> int:
-        """Account one encoded frame's size; returns the next frame's QP."""
-        if bits < 0:
-            raise ValueError("bits must be >= 0")
-        floor = -self.MAX_BANKED_FRAMES * self.target_bits_per_frame
-        self._buffer_bits = max(
-            floor, self._buffer_bits + bits - self.target_bits_per_frame
-        )
-        return self.quantizer
-
-    def reset(self) -> None:
-        self._buffer_bits = 0.0
 
 
 @dataclass(frozen=True)
@@ -280,15 +206,17 @@ class ClosedLoopRateController:
     pure function of the observed frame sequence, which is what lets
     rate-controlled encodes live in the content-addressed stream cache.
 
-    Drop-in compatible with :class:`RateController` at the pipeline
-    seam (``quantizer`` property + ``observe``), plus two richer
-    hooks the encode loop uses when present:
+    The encode loop calls three hooks per frame:
 
+    * :attr:`quantizer` — the QP to encode the next frame with;
+    * :meth:`steer_strategy` — nudges a live PBPAIR controller's
+      ``Intra_Th`` with the current budget pressure;
     * :meth:`observe_frame` — learns from the full
       :class:`~repro.codec.types.EncodedFrame` (QP actually used, and
-      per-macroblock-row bit accounting from ``mb_bit_offsets``);
-    * :meth:`steer_strategy` — nudges a live PBPAIR controller's
-      ``Intra_Th`` with the current budget pressure.
+      per-macroblock-row bit accounting from ``mb_bit_offsets``).
+
+    :meth:`observe` is the size-only variant of :meth:`observe_frame`
+    for callers that have no encoded frame at hand.
     """
 
     def __init__(self, config: RateControlConfig) -> None:
@@ -428,9 +356,8 @@ class ClosedLoopRateController:
     def observe(self, bits: int) -> int:
         """Account one frame's size; returns the next frame's QP.
 
-        The :class:`RateController`-compatible hook: without the full
-        frame, the table learns against the QP the controller last
-        asked for.
+        Without the full frame, the table learns against the QP the
+        controller last asked for.
         """
         if bits < 0:
             raise ValueError("bits must be >= 0")
@@ -510,10 +437,6 @@ class ClosedLoopRateController:
         self._base_intra_th = None
         self._rows_over_budget = 0
         self._last_row_bits = ()
-
-
-#: Anything the encode loop accepts as its rate-control argument.
-AnyRateController = Union[RateController, ClosedLoopRateController]
 
 
 def build_rate_controller(

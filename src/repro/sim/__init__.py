@@ -2,10 +2,13 @@
 
 :func:`repro.sim.pipeline.simulate` wires the whole Figure-1 system
 together and returns a :class:`repro.sim.pipeline.SimulationResult` with
-everything the paper's figures plot; :mod:`repro.sim.experiment` runs
-parameter sweeps over schemes/sequences/channels; :mod:`repro.sim.runner`
-runs declarative job grids through one dispatch loop (in-process or on a
-process pool) with on-disk result caching; :mod:`repro.sim.report` prints figure-shaped tables.
+everything the paper's figures plot; :mod:`repro.sim.runner` runs
+declarative job grids (schemes x channels x seeds) through one dispatch
+loop (in-process or on a process pool) with on-disk result caching and
+encode sharing; :mod:`repro.sim.experiment` matches operating points
+(``Intra_Th`` calibration, matched-bitrate specs) and replicates one
+experiment over channel seeds; :mod:`repro.sim.report` prints
+figure-shaped tables.
 """
 
 from repro.sim.pipeline import (
@@ -17,16 +20,11 @@ from repro.sim.pipeline import (
     simulate,
     encode_phase,
     transmit_phase,
-    encode_only,
 )
 from repro.sim.experiment import (
     CalibrationResult,
-    ExperimentSpec,
-    ExperimentResult,
     RateMatchSpec,
     ReplicationSummary,
-    run_experiment,
-    sweep,
     replicate,
     calibrate_intra_th,
 )
@@ -41,7 +39,6 @@ from repro.sim.runner import (
     encode_stream_key,
     run_grid,
     run_job,
-    run_simulations,
     stable_hash,
 )
 from repro.sim.report import format_table, format_series, format_csv
@@ -57,7 +54,6 @@ __all__ = [
     "encode_stream_key",
     "run_grid",
     "run_job",
-    "run_simulations",
     "stable_hash",
     "SimulationConfig",
     "SimulationResult",
@@ -67,13 +63,8 @@ __all__ = [
     "simulate",
     "encode_phase",
     "transmit_phase",
-    "encode_only",
     "CalibrationResult",
-    "ExperimentSpec",
-    "ExperimentResult",
     "RateMatchSpec",
-    "run_experiment",
-    "sweep",
     "calibrate_intra_th",
     "ReplicationSummary",
     "replicate",

@@ -1,4 +1,4 @@
-"""Experiment harness: sweeps, scheme comparisons, operating-point matching.
+"""Operating-point matching and seed replication for the paper's comparisons.
 
 The paper's comparisons are run at *matched compression ratio*: "We
 choose Intra_Th that gives similar compression ratio with PGOP-3, GOP-3,
@@ -13,104 +13,42 @@ encoded bitstream" (Figure 6).  Two ways to get there:
   ``Intra_Th`` whose encoded size matches a reference by bisection (the
   intra-macroblock count, and with it the encoded size, grows
   monotonically with the threshold).  Kept for matched-*size* studies.
+
+The comparison grids themselves are :class:`~repro.sim.runner.JobSpec`
+cells run by :func:`~repro.sim.runner.run_grid`.  :func:`replicate`
+runs one already-built experiment over several channel seeds, for
+channels a declarative spec cannot express.  Both share encodes the
+same way: through :class:`~repro.sim.runner.EncodedStreamCache` under
+an :func:`~repro.sim.runner.encode_stream_key`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Any, Callable, Mapping, Optional, Sequence
 
+from repro.codec.encoder import Encoder
+from repro.codec.rate import RateControlConfig
 from repro.core.pbpair import PBPAIRConfig
 from repro.network.loss import LossModel
 from repro.resilience.base import ResilienceStrategy
 from repro.resilience.pbpair_strategy import PBPAIRStrategy
-from repro.resilience.registry import build_strategy
+from repro.resilience.registry import strategy_to_spec
 from repro.sim.pipeline import (
     SimulationConfig,
     SimulationResult,
-    encode_only,
     encode_phase,
     simulate,
 )
-from repro.codec.rate import RateControlConfig
 from repro.sim.runner import (
     EncodedStreamCache,
     JobSpec,
-    ResultCache,
     encode_stream_key,
-    run_simulations,
     sequence_digest,
-    stable_hash,
+    simulate_cached,
 )
 from repro.video.frame import VideoSequence
-
-
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """One cell of a comparison grid.
-
-    ``strategy_factory`` builds a *fresh* strategy per run (strategies
-    are stateful); ``loss_factory`` likewise for the channel.
-    """
-
-    label: str
-    strategy_factory: Callable[[], ResilienceStrategy]
-    loss_factory: Optional[Callable[[], LossModel]] = None
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """A labelled simulation outcome."""
-
-    label: str
-    result: SimulationResult
-
-
-def run_experiment(
-    sequence: VideoSequence,
-    spec: ExperimentSpec,
-    config: Optional[SimulationConfig] = None,
-) -> ExperimentResult:
-    """Run one spec against one sequence."""
-    loss_model = spec.loss_factory() if spec.loss_factory else None
-    result = simulate(
-        sequence,
-        spec.strategy_factory(),
-        loss_model=loss_model,
-        config=config,
-    )
-    return ExperimentResult(label=spec.label, result=result)
-
-
-def sweep(
-    sequence: VideoSequence,
-    specs: Iterable[ExperimentSpec],
-    config: Optional[SimulationConfig] = None,
-) -> list[ExperimentResult]:
-    """Run a list of specs against one sequence, preserving order.
-
-    Runs in-process through :func:`repro.sim.runner.run_simulations`
-    (strategies and loss models are instantiated here, fresh per run),
-    so specs sharing an encode pay for it once.  For a parallel grid,
-    describe the cells as :class:`~repro.sim.runner.JobSpec` and use
-    :func:`~repro.sim.runner.run_grid`.
-    """
-    specs = list(specs)
-    tasks = [
-        (
-            sequence,
-            spec.strategy_factory(),
-            spec.loss_factory() if spec.loss_factory else None,
-            config,
-        )
-        for spec in specs
-    ]
-    results = run_simulations(tasks)
-    return [
-        ExperimentResult(label=spec.label, result=result)
-        for spec, result in zip(specs, results)
-    ]
 
 
 def total_encoded_bytes(
@@ -119,7 +57,8 @@ def total_encoded_bytes(
     config: Optional[SimulationConfig] = None,
 ) -> int:
     """Encoded size of the sequence under a scheme (no channel)."""
-    encoded, _ = encode_only(sequence, strategy, config)
+    codec = (config or SimulationConfig()).codec
+    encoded = Encoder(codec, strategy).encode_sequence(sequence)
     return sum(frame.size_bytes for frame in encoded)
 
 
@@ -164,7 +103,6 @@ def calibrate_intra_th(
     pbpair_kwargs: Optional[dict] = None,
     tolerance: float = 0.03,
     max_iterations: int = 8,
-    cache: Optional[ResultCache] = None,
     stream_cache: Optional[EncodedStreamCache] = None,
 ) -> CalibrationResult:
     """Find the ``Intra_Th`` whose encoded size matches ``target_bytes``.
@@ -177,15 +115,13 @@ def calibrate_intra_th(
     probes ran and how many encodes the caches saved.
 
     The bisection itself is inherently sequential (each probe depends
-    on the previous outcome), but each probe's encoded size is pure in
-    its parameters: with a ``cache``, probes are memoized on disk under
-    a content hash of (sequence pixels, threshold, PBPAIR knobs, codec
-    config), so re-calibrating the same clip is free.  With a
-    ``stream_cache``, each probe's full :class:`EncodedStream` is kept
-    under the *grid runner's* encode key — the stream encoded while
-    probing the winning threshold is the very stream the subsequent
-    PBPAIR grid cells replay, so calibration's encode work is not
-    thrown away.
+    on the previous outcome), but each probe's encode is pure in its
+    parameters, so every probe encodes through ``stream_cache`` (a
+    private memory-only one when none is given) under the *grid
+    runner's* encode key: the stream encoded while probing the winning
+    threshold is the very stream the subsequent PBPAIR grid cells
+    replay, and a disk-backed cache makes re-calibrating the same clip
+    free.
 
     The paper does the same calibration to compare schemes at equal
     compression ratio.  Calibrate on the clip you will measure: a
@@ -202,19 +138,15 @@ def calibrate_intra_th(
             "needs at least one encode to have a threshold to return"
         )
     kwargs = dict(pbpair_kwargs or {})
-    digest = (
-        sequence_digest(sequence)
-        if cache is not None or stream_cache is not None
-        else None
-    )
+    if stream_cache is None:
+        stream_cache = EncodedStreamCache(max_entries=1)
+    digest = sequence_digest(sequence)
     stats = {"probes": 0, "encodes": 0, "hits": 0}
 
-    def encode_probe(th: float) -> int:
-        """The probe's encoder run — through the stream cache if given."""
+    def probe_size(th: float) -> int:
+        """The probe's encoded size, from the stream cache or the encoder."""
+        stats["probes"] += 1
         strategy = PBPAIRStrategy(PBPAIRConfig(intra_th=th, plr=plr, **kwargs))
-        if stream_cache is None:
-            stats["encodes"] += 1
-            return total_encoded_bytes(sequence, strategy, config)
         key = encode_stream_key(
             sequence=digest,
             scheme="PBPAIR",
@@ -226,28 +158,6 @@ def calibrate_intra_th(
         )
         stats["hits" if reused else "encodes"] += 1
         return stream.total_bytes
-
-    def probe_size(th: float) -> int:
-        stats["probes"] += 1
-        if cache is not None:
-            key = stable_hash(
-                {
-                    "kind": "encode-size",
-                    "sequence": digest,
-                    "intra_th": th,
-                    "plr": plr,
-                    "pbpair_kwargs": kwargs,
-                    "config": config or SimulationConfig(),
-                }
-            )
-            hit = cache.get(key)
-            if hit is not None:
-                stats["hits"] += 1
-                return int(hit)
-        size = encode_probe(th)
-        if cache is not None:
-            cache.put(key, size)
-        return size
 
     lo, hi = 0.0, 1.0
     best_th, best_error = 0.5, float("inf")
@@ -388,60 +298,45 @@ def replicate(
     seed to a fresh loss model; ``strategy_factory`` builds a fresh
     (stateful) strategy per run.
 
-    The per-seed runs share one encode when the strategy comes from
-    the spec registry (:func:`repro.sim.runner.run_simulations`), and
-    every callable may be a lambda: nothing leaves this process.
+    The per-seed runs share one encode when the strategy round-trips
+    through the spec registry: each run goes through
+    :func:`~repro.sim.runner.simulate_cached` on one memory-only
+    :class:`~repro.sim.runner.EncodedStreamCache`, the same path the
+    grid runner takes.  Any other strategy runs the full pipeline per
+    seed.  Every callable may be a lambda: nothing leaves this process.
     """
     if not seeds:
         raise ValueError("need at least one seed")
-    tasks = [
-        (sequence, strategy_factory(), loss_factory(seed), config)
-        for seed in seeds
-    ]
-    results = run_simulations(tasks)
-    values = [float(metric(result)) for result in results]
+    stream_cache = EncodedStreamCache()
+    digest = sequence_digest(sequence)
+    values = []
+    for seed in seeds:
+        strategy = strategy_factory()
+        loss_model = loss_factory(seed)
+        try:
+            scheme, kwargs = strategy_to_spec(strategy)
+            key = encode_stream_key(
+                sequence=digest,
+                scheme=scheme,
+                strategy_kwargs=kwargs,
+                config=config or SimulationConfig(),
+            )
+        except (ValueError, AttributeError, TypeError):
+            # Not expressible as a spec (or its kwargs do not hash): no
+            # grounds to assume two instances encode identically.
+            result = simulate(
+                sequence, strategy, loss_model=loss_model, config=config
+            )
+        else:
+            result = simulate_cached(
+                sequence,
+                strategy,
+                stream_cache,
+                key,
+                loss_model=loss_model,
+                config=config,
+            )
+        values.append(float(metric(result)))
     return ReplicationSummary(
         label=label, seeds=tuple(int(s) for s in seeds), values=tuple(values)
     )
-
-
-def comparison_specs(
-    scheme_specs: Sequence[str],
-    loss_factory: Optional[Callable[[], LossModel]] = None,
-    pbpair_kwargs: Optional[dict] = None,
-) -> list[ExperimentSpec]:
-    """Build the paper's figure legends ("NO", "PBPAIR", "PGOP-3", ...).
-
-    ``pbpair_kwargs`` configures the PBPAIR entries (``intra_th``,
-    ``plr``, ...); the baselines take their parameter from the spec
-    string itself.
-    """
-    kwargs = dict(pbpair_kwargs or {})
-    specs = []
-    for spec_string in scheme_specs:
-        if spec_string.upper().startswith("PBPAIR"):
-            factory = _pbpair_factory(kwargs)
-        else:
-            factory = _baseline_factory(spec_string)
-        specs.append(
-            ExperimentSpec(
-                label=spec_string,
-                strategy_factory=factory,
-                loss_factory=loss_factory,
-            )
-        )
-    return specs
-
-
-def _pbpair_factory(kwargs: dict) -> Callable[[], ResilienceStrategy]:
-    def factory() -> ResilienceStrategy:
-        return build_strategy("PBPAIR", **kwargs)
-
-    return factory
-
-
-def _baseline_factory(spec_string: str) -> Callable[[], ResilienceStrategy]:
-    def factory() -> ResilienceStrategy:
-        return build_strategy(spec_string)
-
-    return factory

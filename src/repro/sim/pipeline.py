@@ -33,8 +33,8 @@ import numpy as np
 
 from repro.codec.decoder import Decoder
 from repro.codec.encoder import Encoder
-from repro.codec.rate import AnyRateController
-from repro.codec.types import CodecConfig, EncodedFrame, FrameType
+from repro.codec.rate import ClosedLoopRateController
+from repro.codec.types import CodecConfig, FrameType
 from repro.concealment.base import ConcealmentStrategy
 from repro.concealment.copy import CopyConcealment
 from repro.energy.counters import OperationCounters
@@ -240,18 +240,6 @@ class SimulationResult:
         return times
 
 
-def encode_only(
-    sequence: VideoSequence,
-    strategy: ResilienceStrategy,
-    config: Optional[SimulationConfig] = None,
-) -> tuple[list[EncodedFrame], OperationCounters]:
-    """Run just the encoder (for size/energy studies without a channel)."""
-    config = config or SimulationConfig()
-    encoder = Encoder(config.codec, strategy)
-    encoded = encoder.encode_sequence(sequence)
-    return encoded, encoder.counters
-
-
 def _as_injector(
     faults: Optional[Union[FaultPlan, FaultInjector]],
 ) -> Optional[FaultInjector]:
@@ -276,7 +264,7 @@ def _encode_stream(
     strategy: ResilienceStrategy,
     encoder: Encoder,
     packetizer: Packetizer,
-    rate_controller: Optional[AnyRateController],
+    rate_controller: Optional[ClosedLoopRateController],
     injector: Optional[FaultInjector],
 ) -> EncodedStream:
     """The sender loop: encode and packetize every frame.
@@ -294,12 +282,7 @@ def _encode_stream(
     frames: list[StreamFrame] = []
     for frame in sequence:
         if rate_controller is not None:
-            # Closed-loop controllers jointly steer PBPAIR's Intra_Th
-            # alongside the quantizer; the classic open-loop controller
-            # has no such hook, hence the duck-typed dispatch.
-            steer = getattr(rate_controller, "steer_strategy", None)
-            if steer is not None:
-                steer(strategy)
+            rate_controller.steer_strategy(strategy)
             encoder.quantizer = rate_controller.quantizer
         with tracer.span("encode_frame") as encode_span:
             encoded = encoder.encode_frame(frame)
@@ -309,11 +292,7 @@ def _encode_stream(
                 me_skipped_mbs=encoded.stats.me_skipped_mbs,
             )
         if rate_controller is not None:
-            observe_frame = getattr(rate_controller, "observe_frame", None)
-            if observe_frame is not None:
-                observe_frame(encoded)
-            else:
-                rate_controller.observe(encoded.stats.bits)
+            rate_controller.observe_frame(encoded)
         if injector is not None:
             payload = injector.apply_to_payload(encoded.payload, frame.index)
             if payload is not encoded.payload:
@@ -455,7 +434,7 @@ def encode_phase(
     sequence: VideoSequence,
     strategy: ResilienceStrategy,
     config: Optional[SimulationConfig] = None,
-    rate_controller: Optional[AnyRateController] = None,
+    rate_controller: Optional[ClosedLoopRateController] = None,
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
 ) -> EncodedStream:
     """Phase 1 of Figure 1: source -> encoder -> packetizer.
@@ -581,7 +560,7 @@ def simulate(
     loss_model: Optional[LossModel] = None,
     config: Optional[SimulationConfig] = None,
     concealment: Optional[ConcealmentStrategy] = None,
-    rate_controller: Optional[AnyRateController] = None,
+    rate_controller: Optional[ClosedLoopRateController] = None,
     bit_errors: Optional[BitErrorChannel] = None,
     faults: Optional[Union[FaultPlan, FaultInjector]] = None,
     scenario=None,

@@ -40,11 +40,13 @@ trace files (span records cannot ride the result pickle without
 coupling results to tracing) and the parent merges them into
 ``trace_dir/trace.jsonl`` once the grid completes.
 
-:func:`run_simulations` is the in-process sibling used by
-:func:`repro.sim.experiment.sweep` and
-:func:`~repro.sim.experiment.replicate`: it runs already-built
-(sequence, strategy, loss model) triples, encoding each group of
-registry strategies that share an encode key only once.
+Encode sharing has one mechanism: :meth:`EncodedStreamCache.get_or_encode`
+under an :func:`encode_stream_key`, driven by :func:`simulate_cached`.
+:func:`run_job` keys each cell with :func:`encode_content_hash`;
+:func:`repro.sim.experiment.replicate` and
+:func:`~repro.sim.experiment.calibrate_intra_th` key already-built
+strategies through the spec registry.  Cells that share an encode key
+pay for one encode, in any harness.
 """
 
 from __future__ import annotations
@@ -65,11 +67,12 @@ from typing import Any, Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from repro.faults import FaultInjector, FaultPlan, encode_subplan
 from repro.faults.inject import InjectedWorkerCrash
-from repro.network.loss import UniformLoss
+from repro.network.loss import LossModel, UniformLoss
 from repro.scenarios.pack import ScenarioPack
 from repro.obs import Tracer, get_tracer, merge_job_traces, use_tracer, write_trace
 from repro.codec.rate import RateControlConfig, build_rate_controller
-from repro.resilience.registry import build_strategy, strategy_to_spec
+from repro.resilience.base import ResilienceStrategy
+from repro.resilience.registry import build_strategy
 from repro.sim.pipeline import (
     EncodedStream,
     SimulationConfig,
@@ -383,7 +386,7 @@ class RunnerOptions:
     ``submit``), :func:`run_grid` and the service daemon all used to
     grow the same flag set independently (``--jobs``, ``--no-cache``,
     ``--cache-dir``, ``--faults``, ``--retries``, ``--job-timeout``,
-    ``--manifest``, ``--no-stream-cache``).  This dataclass is the one
+    ``--manifest``).  This dataclass is the one
     typed surface those flags resolve into, and the only way to set
     them: build it once, hand it to :func:`run_grid` (``options=``) or
     to :class:`repro.service.daemon.EncodeDaemon`, and the execution
@@ -395,8 +398,6 @@ class RunnerOptions:
         use_cache: keep completed cells in the on-disk result cache.
         cache_dir: result-cache directory (streams live beside it under
             ``<cache_dir>/streams``).
-        share_streams: encode-once stream sharing (disable to force the
-            full pipeline per cell; results are identical either way).
         retries: extra executions for a failed cell (``0`` = fail fast).
         job_timeout: per-job wall-clock limit in seconds, or ``None``.
         manifest_path: where to write the :class:`GridManifest` JSON,
@@ -416,7 +417,6 @@ class RunnerOptions:
     jobs: int = 1
     use_cache: bool = True
     cache_dir: Union[str, Path] = DEFAULT_CACHE_DIR
-    share_streams: bool = True
     retries: int = 0
     job_timeout: Optional[float] = None
     manifest_path: Optional[Union[str, Path]] = None
@@ -456,10 +456,8 @@ class RunnerOptions:
 
     def build_stream_cache(
         self, cache: Optional["ResultCache"] = None
-    ) -> Optional["EncodedStreamCache"]:
+    ) -> "EncodedStreamCache":
         """The encoded-stream cache (memory-only when caching is off)."""
-        if not self.share_streams:
-            return None
         return EncodedStreamCache(
             cache.directory / "streams" if cache is not None else None
         )
@@ -1008,9 +1006,45 @@ def run_job(
             **channel_kwargs,
         )
 
+    return simulate_cached(
+        sequence,
+        strategy,
+        stream_cache,
+        encode_content_hash(spec),
+        loss_model=loss_model,
+        config=spec.config,
+        rate=spec.rate,
+        faults=spec.faults,
+        **channel_kwargs,
+    )
+
+
+def simulate_cached(
+    sequence: VideoSequence,
+    strategy: ResilienceStrategy,
+    stream_cache: EncodedStreamCache,
+    key: str,
+    *,
+    loss_model: Optional[LossModel] = None,
+    config: Optional[SimulationConfig] = None,
+    rate: Optional[RateControlConfig] = None,
+    faults: Optional[FaultPlan] = None,
+    **channel_kwargs: Any,
+) -> SimulationResult:
+    """:func:`simulate` with the encode phase served from ``stream_cache``.
+
+    ``key`` must be the :func:`encode_stream_key` of this exact encode
+    (pixels, resolved strategy, codec config, rate config); the first
+    run under a key encodes, later runs replay its stream through the
+    transmit phase only — value-identical to the full pipeline, with an
+    ``encode_reused`` trace event marking the skipped work.  The encode
+    runs inside the run's own ``simulate`` span either way, so stage
+    spans are attributed the same as under :func:`simulate`.  Only the
+    transmit-side parts of ``faults`` act here: a plan with
+    encode-stage faults must run through :func:`simulate` instead.
+    """
     tracer = get_tracer()
     with tracer.span("simulate") as run_span:
-        key = encode_content_hash(spec)
         stream, reused = stream_cache.get_or_encode(
             key,
             # A fresh controller per encode: its state is a pure
@@ -1019,16 +1053,16 @@ def run_job(
             lambda: encode_phase(
                 sequence,
                 strategy,
-                config=spec.config,
-                rate_controller=build_rate_controller(spec.rate),
+                config=config,
+                rate_controller=build_rate_controller(rate),
             ),
         )
         if reused and tracer.enabled:
             tracer.event(
                 "encode_reused",
                 key=key[:16],
-                scheme=spec.scheme,
-                sequence=spec.sequence,
+                scheme=strategy.name,
+                sequence=sequence.name,
                 frames=stream.n_frames,
             )
         run_span.add(frames=stream.n_frames)
@@ -1037,8 +1071,8 @@ def run_job(
             stream,
             sequence,
             loss_model=loss_model,
-            config=spec.config,
-            faults=spec.faults,
+            config=config,
+            faults=faults,
             **channel_kwargs,
         )
 
@@ -1087,7 +1121,7 @@ def _execute_job(
     trace_dir: Optional[str],
     attempt: int,
     allow_process_exit: bool,
-    stream_cache: Optional[EncodedStreamCache],
+    stream_cache: EncodedStreamCache,
 ) -> tuple[bool, object, float]:
     """Run one cell attempt: never raises*, returns a picklable outcome.
 
@@ -1133,7 +1167,7 @@ def _execute_chunk(
     cells: Sequence[tuple[JobSpec, int]],
     trace_dir: Optional[str],
     cache: Optional[ResultCache],
-    stream_cache: Optional[EncodedStreamCache],
+    stream_cache: EncodedStreamCache,
     allow_process_exit: bool,
 ) -> list[tuple[bool, object, float]]:
     """Run a chunk of ``(spec, attempt)`` cells and cache the successes.
@@ -1177,7 +1211,6 @@ def _execute_pooled_chunk(
     cache_dir: Optional[str],
     cache_max_bytes: Optional[int],
     stream_dir: Optional[str],
-    share_streams: bool,
 ) -> list[tuple[bool, object, float]]:
     """Pool-worker entry point: :func:`_execute_chunk` on this process's
     cache handles, opened by directory (the worker receives paths,
@@ -1187,7 +1220,7 @@ def _execute_pooled_chunk(
         cells,
         trace_dir,
         _worker_cache(cache_dir, cache_max_bytes) if cache_dir else None,
-        _worker_stream_cache(stream_dir) if share_streams else None,
+        _worker_stream_cache(stream_dir),
         True,
     )
 
@@ -1292,16 +1325,16 @@ def run_grid(
 
     Args:
         jobs: the grid cells; results come back in the same order.
-        options: every execution knob — workers, result cache, stream
-            sharing, retries, per-job timeout, fault plan, trace
+        options: every execution knob — workers, result cache,
+            retries, per-job timeout, fault plan, trace
             directory, manifest, run-level rate config and scenario
             (see :class:`RunnerOptions`).  ``None`` runs on every core
             without an on-disk cache.
         cache: a result-cache object to use instead of the one
             ``options`` describes (lets a caller share one handle, and
             its hit/miss counters, across several grids).
-        stream_cache: likewise for the encoded-stream cache; ignored
-            when ``options.share_streams`` is off.
+        stream_cache: likewise for the encoded-stream cache, through
+            which every cell sharing an encode key replays one stream.
 
     Returns:
         One :class:`JobResult` or :class:`JobFailure` per input spec,
@@ -1332,9 +1365,7 @@ def run_grid(
         options = RunnerOptions(jobs=0, use_cache=False)
     if cache is None:
         cache = options.build_cache()
-    if not options.share_streams:
-        stream_cache = None
-    elif stream_cache is None:
+    if stream_cache is None:
         stream_cache = options.build_stream_cache(cache)
     retry = options.retry_policy or RetryPolicy()
     timeout = options.job_timeout
@@ -1376,8 +1407,7 @@ def run_grid(
     # Encode-group-contiguous dispatch: cells sharing an encoded stream
     # land in the same chunk (hence the same worker's stream cache).
     # Output order is unaffected — outcomes key on the original index.
-    if stream_cache is not None:
-        pending.sort(key=lambda i: (encode_content_hash(specs[i]), i))
+    pending.sort(key=lambda i: (encode_content_hash(specs[i]), i))
 
     def new_pool() -> concurrent.futures.Executor:
         return concurrent.futures.ProcessPoolExecutor(max_workers=workers)
@@ -1394,16 +1424,13 @@ def run_grid(
         except (NotImplementedError, OSError, PermissionError):
             pass  # no usable process pool here: same results, in-process
         else:
-            stream_dir = (
-                stream_cache.directory if stream_cache is not None else None
-            )
+            stream_dir = stream_cache.directory
             entry = _execute_pooled_chunk
             context = (
                 trace_dir,
                 str(cache.directory) if cache is not None else None,
                 cache.max_bytes if cache is not None else None,
                 str(stream_dir) if stream_dir is not None else None,
-                stream_cache is not None,
             )
 
     queue: deque[tuple[list[int], concurrent.futures.Future]] = deque()
@@ -1512,93 +1539,3 @@ def run_grid(
     if options.manifest_path is not None:
         grid_manifest(ordered).write(options.manifest_path)
     return ordered
-
-
-# ---------------------------------------------------------------------------
-# In-process simulate (for already-built experiment objects)
-# ---------------------------------------------------------------------------
-
-
-def _simulation_signature(
-    task: tuple, digests: dict[int, str]
-) -> Optional[str]:
-    """Encode-sharing key for one (sequence, strategy, loss, config) task.
-
-    ``None`` (no sharing) when the strategy did not come from the spec
-    registry — an unknown strategy type gives no grounds to assume two
-    instances encode identically.  ``digests`` memoizes pixel digests
-    by object identity so replication sweeps hash their clip once.
-    """
-    sequence, strategy, _, config = task
-    try:
-        spec_str, kwargs = strategy_to_spec(strategy)
-    except (ValueError, AttributeError):
-        return None
-    key = id(sequence)
-    if key not in digests:
-        digests[key] = sequence_digest(sequence)
-    try:
-        return encode_stream_key(
-            sequence=digests[key],
-            scheme=spec_str,
-            strategy_kwargs=kwargs,
-            config=config or SimulationConfig(),
-        )
-    except TypeError:  # unhashable kwargs: skip sharing, never fail
-        return None
-
-
-def run_simulations(tasks: Sequence[tuple]) -> list[SimulationResult]:
-    """Run ``simulate`` over (sequence, strategy, loss_model, config) tuples.
-
-    The object-level counterpart of :func:`run_grid`, used by
-    :func:`repro.sim.experiment.sweep` and
-    :func:`~repro.sim.experiment.replicate`: strategies and loss models
-    are instantiated by the *caller* (fresh per run — they are
-    stateful) and run in this process, so they may be arbitrary
-    objects.  Parallel grids go through :func:`run_grid` instead.
-
-    Tasks whose strategies round-trip through the spec registry are
-    grouped by encode key; each group with two or more members is
-    encoded once and its members run only the transmit phase — a
-    replication sweep over channel seeds pays for one encode instead of
-    N.  Groups of one and non-registry strategies run the full
-    pipeline, and the results are value-identical either way.
-    Exceptions propagate to the caller unchanged.
-    """
-    tasks = list(tasks)
-    digests: dict[int, str] = {}
-    signatures = [_simulation_signature(task, digests) for task in tasks]
-    members: dict[str, int] = {}
-    for signature in signatures:
-        if signature is not None:
-            members[signature] = members.get(signature, 0) + 1
-    streams: dict[str, EncodedStream] = {}
-    results = []
-    for (sequence, strategy, loss_model, config), signature in zip(
-        tasks, signatures
-    ):
-        if signature is None or members[signature] < 2:
-            results.append(
-                simulate(
-                    sequence, strategy, loss_model=loss_model, config=config
-                )
-            )
-            continue
-        if signature not in streams:
-            streams[signature] = encode_phase(
-                sequence, strategy, config=config
-            )
-        stream = streams[signature]
-        # The same ``simulate`` trace root the full pipeline opens, so
-        # per-run span structure stays uniform either way.
-        tracer = get_tracer()
-        with tracer.span("simulate") as run_span:
-            run_span.add(frames=stream.n_frames)
-            tracer.metrics.gauge("sim.frames", stream.n_frames)
-            results.append(
-                transmit_phase(
-                    stream, sequence, loss_model=loss_model, config=config
-                )
-            )
-    return results

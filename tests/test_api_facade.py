@@ -38,10 +38,7 @@ class TestFacadeSurface:
         "name",
         [
             "simulate",
-            "run_experiment",
-            "sweep",
             "replicate",
-            "comparison_specs",
             "encode_sequence",
             "decode_stream",
         ],
@@ -165,11 +162,24 @@ class TestFacadeBehaviour:
         from repro.sim.pipeline import SimulationConfig
 
         config = SimulationConfig(codec=small_config())
-        specs = api.comparison_specs(["NO", "GOP-2"])
-        results = api.sweep(video, specs=specs, config=config)
-        assert [r.label for r in results] == ["NO", "GOP-2"]
-        single = api.run_experiment(video, spec=specs[0], config=config)
-        assert single.result.frames == results[0].result.frames
+        summary = api.replicate(
+            video,
+            strategy_factory=lambda: api.make_strategy("GOP-2"),
+            loss_factory=lambda seed: api.UniformLoss(plr=0.3, seed=seed),
+            metric=lambda result: result.average_psnr_decoder,
+            seeds=(0, 1),
+            label="GOP-2",
+            config=config,
+        )
+        assert summary.label == "GOP-2" and summary.seeds == (0, 1)
+        single = api.simulate(
+            video,
+            strategy=api.make_strategy("GOP-2"),
+            plr=0.3,
+            seed=1,
+            config=config,
+        )
+        assert summary.values[1] == single.average_psnr_decoder
 
 
 class TestPackageReExports:

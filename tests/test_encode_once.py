@@ -18,6 +18,7 @@ from repro.faults import FaultPlan, FaultSpec, encode_subplan
 from repro.network.loss import UniformLoss
 from repro.network.packet import Packetizer
 from repro.obs import Tracer, use_tracer
+from repro.resilience.none import NoResilience
 from repro.resilience.registry import build_strategy
 from repro.sim.experiment import replicate
 from repro.sim.pipeline import (
@@ -33,7 +34,6 @@ from repro.sim.runner import (
     encode_content_hash,
     run_grid,
     run_job,
-    run_simulations,
 )
 from repro.video.synthetic import SyntheticConfig
 
@@ -197,16 +197,12 @@ class TestGridSharing:
             _grid(), options=options,
             stream_cache=EncodedStreamCache(tmp_path / "streams"),
         )
-        unshared = run_grid(
-            _grid(),
-            options=RunnerOptions(
-                jobs=workers, use_cache=False, share_streams=False
-            ),
-        )
+        # "Off" is the plain pipeline: run_job without a stream cache.
+        unshared = [run_job(spec) for spec in _grid()]
         assert len(shared) == len(unshared)
         for a, b in zip(shared, unshared):
-            assert a.ok and b.ok
-            assert_results_equal(a.result, b.result)
+            assert a.ok
+            assert_results_equal(a.result, b)
 
     def test_run_job_reuses_and_traces_reuse(self):
         cache = EncodedStreamCache()
@@ -251,30 +247,27 @@ class TestGridSharing:
         assert all(e.stage != "encode" for e in shared.fault_events)
 
 
-class TestRunSimulationsSharing:
-    def _tasks(self, seeds=(0, 1, 2)):
-        video = small_sequence(N_FRAMES)
-        config = _sim_config()
-        return [
-            (
-                video,
-                build_strategy("GOP-2"),
-                UniformLoss(plr=0.3, seed=seed),
-                config,
-            )
-            for seed in seeds
-        ]
+class _UnregisteredNo(NoResilience):
+    """A strategy the spec registry cannot express (unknown name)."""
 
-    def test_share_on_off_identical(self):
-        # "Off" is the plain pipeline, one full simulate per task.
-        shared = run_simulations(self._tasks())
-        unshared = [
-            simulate(sequence, strategy, loss_model=loss, config=config)
-            for sequence, strategy, loss, config in self._tasks()
-        ]
-        for a, b in zip(shared, unshared):
-            assert_results_equal(a, b)
+    name = "custom-no"
 
+
+def _replicate_traced(strategy_factory, seeds=(0, 1, 2)):
+    tracer = Tracer(trace_id="replicate")
+    with use_tracer(tracer):
+        summary = replicate(
+            small_sequence(N_FRAMES),
+            strategy_factory=strategy_factory,
+            loss_factory=lambda seed: UniformLoss(plr=0.3, seed=seed),
+            metric=lambda r: r.average_psnr_decoder,
+            seeds=seeds,
+            config=_sim_config(),
+        )
+    return summary, tracer
+
+
+class TestReplicateSharing:
     def test_replicate_unchanged_by_sharing(self):
         video = small_sequence(N_FRAMES)
         summary = replicate(
@@ -294,6 +287,33 @@ class TestRunSimulationsSharing:
             for seed in (0, 1, 2)
         ]
         assert list(summary.values) == pytest.approx(expected)
+
+    def test_shared_encode_runs_inside_simulate(self):
+        _, tracer = _replicate_traced(lambda: build_strategy("GOP-2"))
+        stages = [
+            r for r in tracer.records
+            if r.name in ("encode_frame", "packetize")
+        ]
+        assert stages
+        assert all(r.parent == "simulate" and r.depth == 2 for r in stages)
+        roots = [r for r in tracer.records if r.name == "simulate"]
+        assert len(roots) == 3 and all(r.parent is None for r in roots)
+
+    def test_registry_strategy_encodes_once(self):
+        _, tracer = _replicate_traced(lambda: build_strategy("GOP-2"))
+        encodes = [r for r in tracer.records if r.name == "encode_frame"]
+        assert len(encodes) == N_FRAMES  # three seeds, one encode
+        reuse = [e for e in tracer.events if e.name == "encode_reused"]
+        assert len(reuse) == 2
+
+    def test_unregistered_strategy_encodes_per_seed(self):
+        summary, tracer = _replicate_traced(_UnregisteredNo)
+        encodes = [r for r in tracer.records if r.name == "encode_frame"]
+        assert len(encodes) == 3 * N_FRAMES
+        assert all(r.parent == "simulate" for r in encodes)
+        assert not [e for e in tracer.events if e.name == "encode_reused"]
+        shared, _ = _replicate_traced(lambda: build_strategy("NO"))
+        assert summary.values == shared.values
 
 
 # -- cross-process determinism (the cache-key contract) ----------------------

@@ -4,18 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.network.loss import UniformLoss
-from repro.sim.experiment import (
-    ExperimentSpec,
-    calibrate_intra_th,
-    comparison_specs,
-    run_experiment,
-    sweep,
-    total_encoded_bytes,
-)
+from repro.sim.experiment import calibrate_intra_th, total_encoded_bytes
 from repro.sim.pipeline import SimulationConfig
 from repro.sim.report import format_series, format_table
-from repro.resilience.none import NoResilience
 from repro.resilience.registry import build_strategy
 
 from tests.conftest import small_config, small_sequence
@@ -29,45 +20,6 @@ def sim_config():
 @pytest.fixture(scope="module")
 def clip():
     return small_sequence(n_frames=8)
-
-
-class TestRunExperiment:
-    def test_runs_and_labels(self, clip, sim_config):
-        spec = ExperimentSpec(
-            label="NO", strategy_factory=NoResilience
-        )
-        out = run_experiment(clip, spec, sim_config)
-        assert out.label == "NO"
-        assert out.result.n_frames == len(clip)
-
-    def test_sweep_order_preserved(self, clip, sim_config):
-        specs = comparison_specs(["NO", "GOP-2"], None)
-        results = sweep(clip, specs, sim_config)
-        assert [r.label for r in results] == ["NO", "GOP-2"]
-
-    def test_loss_factory_used(self, clip, sim_config):
-        spec = ExperimentSpec(
-            label="lossy",
-            strategy_factory=NoResilience,
-            loss_factory=lambda: UniformLoss(plr=0.5, seed=2),
-        )
-        out = run_experiment(clip, spec, sim_config)
-        assert out.result.channel_log.loss_rate > 0
-
-
-class TestComparisonSpecs:
-    def test_pbpair_kwargs_applied(self, clip, sim_config):
-        specs = comparison_specs(
-            ["PBPAIR"], None, pbpair_kwargs=dict(intra_th=0.77, plr=0.3)
-        )
-        strategy = specs[0].strategy_factory()
-        assert strategy.config.intra_th == 0.77
-
-    def test_factories_produce_fresh_instances(self):
-        specs = comparison_specs(["GOP-2"], None)
-        a = specs[0].strategy_factory()
-        b = specs[0].strategy_factory()
-        assert a is not b
 
 
 class TestSizeMatching:
@@ -109,24 +61,28 @@ class TestSizeMatching:
         assert th == 0.5  # one bisection probe: the midpoint
 
     def test_calibration_cache_reused(self, clip, sim_config, tmp_path):
-        from repro.sim.runner import ResultCache
+        from repro.sim.runner import EncodedStreamCache
 
-        cache = ResultCache(tmp_path)
         target = total_encoded_bytes(clip, build_strategy("GOP-3"), sim_config)
+        cold_cache = EncodedStreamCache(tmp_path)
         th_cold = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
-            cache=cache,
+            stream_cache=cold_cache,
         )
-        probes = len(cache)
-        assert probes >= 1
+        probes = len(cold_cache.disk)
+        assert probes == th_cold.probes >= 1
+        # A fresh handle on the same directory: every probe is answered
+        # from disk, as on a re-run of the CLI with caching on.
+        warm_cache = EncodedStreamCache(tmp_path)
         th_warm = calibrate_intra_th(
             clip, target, plr=0.3, config=sim_config, max_iterations=4,
-            cache=cache,
+            stream_cache=warm_cache,
         )
         assert th_warm == th_cold
-        assert cache.hits >= probes  # every probe answered from disk
+        assert warm_cache.disk.hits == probes
         assert th_warm.probes == th_warm.cache_hits
         assert th_warm.unique_encodes == 0
+        assert warm_cache.encodes == 0
 
 
 class TestCalibrationResult:

@@ -10,7 +10,6 @@ from repro.codec.rate import (
     ClosedLoopRateController,
     QPBitsModel,
     RateControlConfig,
-    RateController,
     build_rate_controller,
 )
 from repro.network.loss import NoLoss
@@ -22,60 +21,6 @@ from repro.core.pbpair import PBPAIRConfig
 from repro.sim.pipeline import SimulationConfig, simulate
 
 from tests.conftest import small_config, small_sequence
-
-
-class TestRateControllerUnit:
-    def test_starts_at_base_qp(self):
-        controller = RateController(10000, base_qp=8)
-        assert controller.quantizer == 8
-        assert controller.buffer_bits == 0.0
-
-    def test_overshoot_coarsens_qp(self):
-        controller = RateController(10000, base_qp=8, sensitivity=2.0)
-        controller.observe(30000)  # 2 target-frames of overshoot
-        assert controller.quantizer == 12
-
-    def test_on_target_is_stationary(self):
-        controller = RateController(10000, base_qp=8)
-        for _ in range(10):
-            controller.observe(10000)
-        assert controller.quantizer == 8
-
-    def test_undershoot_refines_qp(self):
-        controller = RateController(10000, base_qp=8, sensitivity=2.0)
-        controller.observe(0)  # one banked target frame
-        assert controller.quantizer == 6
-
-    def test_banked_savings_bounded(self):
-        controller = RateController(10000, base_qp=8)
-        for _ in range(20):
-            controller.observe(0)
-        assert controller.buffer_bits == pytest.approx(
-            -RateController.MAX_BANKED_FRAMES * 10000
-        )
-        assert controller.quantizer >= controller.min_qp
-
-    def test_qp_clamped(self):
-        controller = RateController(100, base_qp=8, max_qp=12)
-        controller.observe(100000)
-        assert controller.quantizer == 12
-
-    def test_reset(self):
-        controller = RateController(10000, base_qp=8)
-        controller.observe(50000)
-        controller.reset()
-        assert controller.quantizer == 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RateController(0)
-        with pytest.raises(ValueError):
-            RateController(1000, base_qp=0)
-        with pytest.raises(ValueError):
-            RateController(1000, sensitivity=0)
-        controller = RateController(1000)
-        with pytest.raises(ValueError):
-            controller.observe(-1)
 
 
 class TestEncoderQPPlumbing:
@@ -128,7 +73,9 @@ class TestRateControlledSimulation:
     def test_tracks_target_rate(self, codec_config):
         clip = small_sequence(n_frames=16)
         target_bits = 4000
-        controller = RateController(target_bits, base_qp=6)
+        controller = ClosedLoopRateController(
+            RateControlConfig(target_kbps=target_bits * 30 / 1000, base_qp=6)
+        )
         result = simulate(
             clip,
             NoResilience(),
@@ -141,7 +88,9 @@ class TestRateControlledSimulation:
 
     def test_compatible_with_pbpair(self, codec_config):
         clip = small_sequence(n_frames=12)
-        controller = RateController(10000, base_qp=6)
+        controller = ClosedLoopRateController(
+            RateControlConfig(target_kbps=300.0, base_qp=6)
+        )
         result = simulate(
             clip,
             PBPAIRStrategy(PBPAIRConfig(intra_th=0.9, plr=0.2)),

@@ -11,7 +11,9 @@ from repro.resilience.gop import GOPStrategy
 from repro.resilience.none import NoResilience
 from repro.resilience.pbpair_strategy import PBPAIRStrategy
 from repro.core.pbpair import PBPAIRConfig
-from repro.sim.pipeline import SimulationConfig, encode_only, simulate
+from repro.codec.encoder import Encoder
+from repro.sim.experiment import total_encoded_bytes
+from repro.sim.pipeline import SimulationConfig, simulate
 
 from tests.conftest import small_config, small_sequence
 
@@ -45,12 +47,17 @@ class TestLosslessRun:
         assert result.strategy_name == "NO"
 
     def test_encode_only_matches_simulate_sizes(self, clip, sim_config):
-        encoded, counters = encode_only(clip, NoResilience(), sim_config)
+        encoder = Encoder(sim_config.codec, NoResilience())
+        encoded = encoder.encode_sequence(clip)
         result = simulate(clip, NoResilience(), NoLoss(), sim_config)
         assert [ef.size_bytes for ef in encoded] == [
             r.size_bytes for r in result.frames
         ]
-        assert counters.as_dict() == result.counters.as_dict()
+        assert (
+            total_encoded_bytes(clip, NoResilience(), sim_config)
+            == result.total_bytes
+        )
+        assert encoder.counters.as_dict() == result.counters.as_dict()
 
 
 class TestLossyRun:
