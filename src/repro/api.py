@@ -68,6 +68,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Optional, Sequence, Union
 
+from repro.codec.bitstream import BitReader
 from repro.codec.dct import forward_dct_blocks, inverse_dct_blocks
 from repro.codec.decoder import Decoder, DecodeResult
 from repro.codec.encoder import Encoder
@@ -83,6 +84,11 @@ from repro.codec.rate import (
     ClosedLoopRateController,
     RateControlConfig,
     build_rate_controller,
+)
+from repro.codec.syntax import (
+    decode_macroblock,
+    decode_macroblock_layer,
+    read_fragment_header,
 )
 from repro.codec.reference import (
     dequantize_scalar,
@@ -450,6 +456,11 @@ __all__ = [
     "dequantize_scalar",
     "diamond_search_scalar",
     "three_step_search_scalar",
+    # batch VLD and its sequential per-macroblock reference parser
+    "BitReader",
+    "read_fragment_header",
+    "decode_macroblock_layer",
+    "decode_macroblock",
     # harness types
     "SimulationConfig",
     "SimulationResult",

@@ -176,11 +176,12 @@ def build_word_index(data: bytes) -> list[int]:
     """
     if not data:
         return []
-    arr = np.frombuffer(data, dtype=np.uint8)
-    padded = np.concatenate([arr, np.zeros(8, dtype=np.uint8)])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, 8)[: arr.size]
-    weights = np.array([1 << (8 * i) for i in range(7, -1, -1)], dtype=np.uint64)
-    return (windows * weights).sum(axis=1, dtype=np.uint64).tolist()
+    # One unaligned big-endian uint64 view with a one-byte stride: the
+    # window at offset b is simply the eight bytes starting there.
+    padded = bytes(data) + bytes(7)
+    return np.ndarray(
+        (len(data),), dtype=">u8", buffer=padded, strides=(1,)
+    ).tolist()
 
 
 class BitReader:

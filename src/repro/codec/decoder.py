@@ -27,12 +27,14 @@ from repro.codec.bitstream import BitReader, BitstreamError
 from repro.codec.dct import inverse_dct_blocks
 from repro.codec.quant import dequantize_blocks
 from repro.codec.syntax import (
+    FragmentHeader,
+    MacroblockLayer,
     decode_macroblock_layer,
     read_fragment_header,
 )
 from repro.codec.types import CodecConfig, FrameType, MacroblockMode
 from repro.codec.blocks import blocks_to_macroblocks, chroma_vector
-from repro.codec.halfpel import fetch_block_half
+from repro.codec.halfpel import fetch_block_half, halfpel_to_pixels
 from repro.energy.counters import OperationCounters
 from repro.obs import get_tracer
 
@@ -139,21 +141,17 @@ class Decoder:
         mvs_pixels = np.zeros((mb_rows, mb_cols, 2), dtype=np.int64)
         frame_index = expected_index
         frame_type = FrameType.P
-        mv_divisor = 2 if config.half_pel else 1
 
         # Pad the prediction references once per frame; every fragment
         # predicts from the same planes.
         pad = config.search_range + (2 if config.half_pel else 0)
         padded_ref = (
-            np.pad(reference.astype(np.int64), pad, mode="edge")
-            if reference is not None
-            else None
+            _edge_padded(reference, pad) if reference is not None else None
         )
         padded_chroma = None
         if config.chroma and reference_chroma is not None:
             padded_chroma = tuple(
-                np.pad(plane.astype(np.int64), 8, mode="edge")
-                for plane in reference_chroma
+                _edge_padded(plane, 8) for plane in reference_chroma
             )
 
         damaged = 0
@@ -165,7 +163,7 @@ class Decoder:
             # fragment boundary — the damaged region is concealed and
             # the remaining fragments still decode.
             try:
-                header, decoded = self._decode_fragment(
+                header, layer = self._decode_fragment(
                     payload, padded_ref, pad, canvas, padded_chroma,
                     chroma_canvases,
                 )
@@ -183,17 +181,18 @@ class Decoder:
             if header is None:
                 damaged += 1  # unreadable header: the whole fragment is lost
                 continue
-            if len(decoded) < header.mb_count:
+            if len(layer) < header.mb_count:
                 damaged += 1  # VLC desync truncated the salvaged prefix
             frame_index = header.frame_index
             frame_type = header.frame_type
-            for mb_index, mode, mv in decoded:
-                row, col = divmod(mb_index, mb_cols)
-                if row < mb_rows:
-                    received[row, col] = True
-                    modes[row, col] = mode
-                    mvs_pixels[row, col, 0] = int(mv[0] / mv_divisor)
-                    mvs_pixels[row, col, 1] = int(mv[1] / mv_divisor)
+            rows, cols = np.divmod(
+                header.first_mb + np.arange(len(layer)), mb_cols
+            )
+            received[rows, cols] = True
+            modes[rows, cols] = _MODES[layer.intra.view(np.uint8)]
+            mvs_pixels[rows, cols] = (
+                halfpel_to_pixels(layer.mvs) if config.half_pel else layer.mvs
+            )
 
         return DecodeResult(
             frame_index=frame_index,
@@ -214,21 +213,21 @@ class Decoder:
         canvas: np.ndarray,
         padded_chroma: Optional[tuple[np.ndarray, np.ndarray]] = None,
         chroma_canvases: Optional[tuple[np.ndarray, np.ndarray]] = None,
-    ):
+    ) -> tuple[Optional[FragmentHeader], Optional[MacroblockLayer]]:
         """Decode one fragment onto the canvases; salvage on corruption.
 
-        Returns ``(header_or_None, [(mb_index, mode, mv), ...])``.
+        Returns ``(header, layer)`` with the salvaged macroblock prefix,
+        or ``(None, None)`` when the header is unreadable.
         """
         config = self.config
         reader = BitReader(payload)
         try:
             header = read_fragment_header(reader)
         except BitstreamError:
-            return None, []
+            return None, None
         if header.first_mb + header.mb_count > config.mb_count:
-            return None, []
+            return None, None
 
-        blocks_per_mb = config.blocks_per_mb
         # Phase 1 — batch VLD; a corrupt codeword (or a macroblock that
         # cannot be predicted) truncates the salvaged prefix exactly
         # where the sequential decoder did.
@@ -238,150 +237,133 @@ class Decoder:
         allow_inter = padded_ref is not None and not (
             config.chroma and padded_chroma is None
         )
-        embs = decode_macroblock_layer(
+        layer = decode_macroblock_layer(
             reader,
             header.frame_type,
             header.mb_count,
-            blocks_per_mb,
+            config.blocks_per_mb,
             allow_skip=config.allow_skip,
             allow_inter=allow_inter,
             mv_limit=mv_limit,
         )
-        parsed = [
-            (header.first_mb + offset, emb) for offset, emb in enumerate(embs)
-        ]
         self.counters.entropy_bits += reader.bits_consumed
-        if not parsed:
-            return header, []
+        count = len(layer)
+        if not count:
+            return header, layer
 
-        # Phase 2 — batch dequantization and inverse transform across
-        # every salvaged macroblock, then per-macroblock prediction.
-        luma_mbs = self._reconstruct_luma_batch(parsed, header, padded_ref, pad)
-        chroma_mbs = (
-            self._reconstruct_chroma_batch(parsed, header, padded_chroma)
-            if config.chroma
-            else None
-        )
-
-        decoded: list[tuple[int, MacroblockMode, tuple[int, int]]] = []
-        for position, (mb_index, emb) in enumerate(parsed):
-            row, col = divmod(mb_index, config.mb_cols)
-            canvas[row * 16 : (row + 1) * 16, col * 16 : (col + 1) * 16] = (
-                luma_mbs[position]
+        # Phase 2 — dequantization and inverse transform of the coded
+        # blocks only (an uncoded block's residual is exactly zero),
+        # then prediction and placement, all batched over the fragment.
+        # The counters bill every block, as a block-by-block decoder
+        # does the work.
+        residuals = self._residuals(layer, header.qp)
+        rows, cols = np.divmod(header.first_mb + np.arange(count), config.mb_cols)
+        inter = ~layer.intra
+        luma = blocks_to_macroblocks(residuals[:, :4])
+        if inter.any():
+            assert padded_ref is not None
+            luma[inter] += self._predict_luma(
+                padded_ref, pad, rows[inter], cols[inter], layer.mvs[inter]
             )
-            if chroma_mbs is not None:
-                assert chroma_canvases is not None
-                for plane, block in zip(chroma_canvases, chroma_mbs[position]):
-                    plane[row * 8 : (row + 1) * 8, col * 8 : (col + 1) * 8] = (
-                        block
-                    )
-            decoded.append((mb_index, emb.mode, emb.mv))
-            self.counters.mode_decisions += 1
-            if emb.mode is MacroblockMode.INTER:
-                self.counters.mc_blocks += 1
-        self.counters.dequant_blocks += blocks_per_mb * len(parsed)
-        self.counters.idct_blocks += blocks_per_mb * len(parsed)
-        return header, decoded
+        _macroblock_view(canvas, 16)[rows, cols] = np.clip(luma, 0, 255)
+        if chroma_canvases is not None:
+            chroma = residuals[:, 4:6]
+            if inter.any():
+                assert padded_chroma is not None
+                chroma[inter] += self._predict_chroma(
+                    padded_chroma, rows[inter], cols[inter], layer.mvs[inter]
+                )
+            chroma = np.clip(chroma, 0, 255)
+            for component, plane in enumerate(chroma_canvases):
+                _macroblock_view(plane, 8)[rows, cols] = chroma[:, component]
 
-    def _dequantize_batch(
-        self, coefficients: np.ndarray, intra_flags: np.ndarray, qp: int
-    ) -> np.ndarray:
-        """Dequantize a ``(k, n, 8, 8)`` batch in one mixed-mode pass."""
-        return dequantize_blocks(coefficients, intra_flags[:, None], qp)
+        self.counters.mode_decisions += count
+        self.counters.mc_blocks += int(inter.sum())
+        self.counters.dequant_blocks += config.blocks_per_mb * count
+        self.counters.idct_blocks += config.blocks_per_mb * count
+        return header, layer
 
-    def _reconstruct_luma_batch(
+    def _residuals(self, layer: MacroblockLayer, qp: int) -> np.ndarray:
+        """``(n, blocks_per_mb, 8, 8)`` residuals, transforming only the
+        coded blocks.
+
+        The zeros of the uncoded blocks take the inverse transform's own
+        dtype (int64 fixed-point, float64 float), so adding the
+        prediction and clipping round exactly as a full-stack pass.
+        """
+        block_intra = np.broadcast_to(layer.intra[:, None], layer.coded.shape)
+        dequantized = dequantize_blocks(
+            layer.coefficients, block_intra[layer.coded], qp
+        )
+        coded = inverse_dct_blocks(dequantized, self.config.use_fixed_point_dct)
+        residuals = np.zeros(layer.coded.shape + (8, 8), dtype=coded.dtype)
+        residuals[layer.coded] = coded
+        return residuals
+
+    def _predict_luma(
         self,
-        parsed: list,
-        header,
-        padded_ref: Optional[np.ndarray],
+        padded_ref: np.ndarray,
         pad: int,
+        rows: np.ndarray,
+        cols: np.ndarray,
+        mvs: np.ndarray,
     ) -> np.ndarray:
-        """Dequantize/IDCT every salvaged macroblock at once, then predict."""
-        config = self.config
-        coefficients = np.stack([emb.coefficients[:4] for _, emb in parsed])
-        intra_flags = np.array(
-            [emb.mode is MacroblockMode.INTRA for _, emb in parsed]
-        )
-        dequantized = self._dequantize_batch(
-            coefficients, intra_flags, header.qp
-        )
-        blocks = inverse_dct_blocks(
-            dequantized.reshape(-1, 8, 8), config.use_fixed_point_dct
-        )
-        mb_pixels = blocks_to_macroblocks(blocks.reshape(len(parsed), 4, 8, 8))
-
-        out = np.empty((len(parsed), 16, 16), dtype=np.uint8)
-        if intra_flags.any():
-            out[intra_flags] = np.clip(mb_pixels[intra_flags], 0, 255)
-        inter_positions = np.flatnonzero(~intra_flags)
-        if inter_positions.size == 0:
-            return out
-        assert padded_ref is not None
-        if config.half_pel:
-            for position in inter_positions:
-                mb_index, emb = parsed[position]
-                row, col = divmod(mb_index, config.mb_cols)
-                prediction = fetch_block_half(
-                    padded_ref, pad, row * 16, col * 16, emb.mv
-                )
-                out[position] = np.clip(
-                    mb_pixels[position] + prediction, 0, 255
-                )
-        else:
-            # Full-pel prediction for every inter macroblock in one
-            # gather off the padded reference's 16x16 window view.
-            windows = np.lib.stride_tricks.sliding_window_view(
-                padded_ref, (16, 16)
+        """16x16 predictions of the inter macroblocks at ``(rows, cols)``."""
+        if self.config.half_pel:
+            return np.stack(
+                [
+                    fetch_block_half(padded_ref, pad, row * 16, col * 16, mv)
+                    for row, col, mv in zip(rows, cols, mvs.tolist())
+                ]
             )
-            ys = np.empty(inter_positions.size, dtype=np.int64)
-            xs = np.empty(inter_positions.size, dtype=np.int64)
-            for slot, position in enumerate(inter_positions):
-                mb_index, emb = parsed[position]
-                row, col = divmod(mb_index, config.mb_cols)
-                ys[slot] = row * 16 + pad + emb.mv[0]
-                xs[slot] = col * 16 + pad + emb.mv[1]
-            out[inter_positions] = np.clip(
-                mb_pixels[inter_positions] + windows[ys, xs], 0, 255
-            )
-        return out
+        # Full-pel: one gather off the padded reference's window view.
+        windows = np.lib.stride_tricks.sliding_window_view(padded_ref, (16, 16))
+        return windows[rows * 16 + pad + mvs[:, 0], cols * 16 + pad + mvs[:, 1]]
 
-    def _reconstruct_chroma_batch(
+    def _predict_chroma(
         self,
-        parsed: list,
-        header,
-        padded_chroma: Optional[tuple[np.ndarray, np.ndarray]],
+        padded_chroma: tuple[np.ndarray, np.ndarray],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        mvs: np.ndarray,
     ) -> np.ndarray:
-        """Chroma twin of :meth:`_reconstruct_luma_batch` (Cb then Cr)."""
-        config = self.config
-        coefficients = np.stack([emb.coefficients[4:6] for _, emb in parsed])
-        intra_flags = np.array(
-            [emb.mode is MacroblockMode.INTRA for _, emb in parsed]
+        """``(k, 2, 8, 8)`` Cb/Cr predictions of the inter macroblocks."""
+        if self.config.half_pel:
+            mvs = halfpel_to_pixels(mvs)
+        chroma_mvs = np.array(
+            [[chroma_vector(dy), chroma_vector(dx)] for dy, dx in mvs.tolist()],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        ys = rows * 8 + 8 + chroma_mvs[:, 0]
+        xs = cols * 8 + 8 + chroma_mvs[:, 1]
+        return np.stack(
+            [
+                np.lib.stride_tricks.sliding_window_view(padded, (8, 8))[ys, xs]
+                for padded in padded_chroma
+            ],
+            axis=1,
         )
-        dequantized = self._dequantize_batch(
-            coefficients, intra_flags, header.qp
-        )
-        blocks = inverse_dct_blocks(
-            dequantized.reshape(-1, 8, 8), config.use_fixed_point_dct
-        ).reshape(len(parsed), 2, 8, 8)
 
-        out = np.empty((len(parsed), 2, 8, 8), dtype=np.uint8)
-        for position, (mb_index, emb) in enumerate(parsed):
-            if emb.mode is MacroblockMode.INTRA:
-                out[position] = np.clip(blocks[position], 0, 255)
-                continue
-            assert padded_chroma is not None
-            if config.half_pel:
-                cdy = chroma_vector(int(np.fix(emb.mv[0] / 2.0)))
-                cdx = chroma_vector(int(np.fix(emb.mv[1] / 2.0)))
-            else:
-                cdy = chroma_vector(emb.mv[0])
-                cdx = chroma_vector(emb.mv[1])
-            row, col = divmod(mb_index, config.mb_cols)
-            y = row * 8 + 8 + cdy
-            x = col * 8 + 8 + cdx
-            for component, padded in enumerate(padded_chroma):
-                prediction = padded[y : y + 8, x : x + 8]
-                out[position, component] = np.clip(
-                    blocks[position, component] + prediction, 0, 255
-                )
-        return out
+
+#: Macroblock mode objects indexed by the intra flag.
+_MODES = np.array([MacroblockMode.INTER, MacroblockMode.INTRA], dtype=object)
+
+
+def _edge_padded(plane: np.ndarray, pad: int) -> np.ndarray:
+    """``np.pad(plane, pad, mode="edge")`` as int64, from five slice
+    copies: np.pad's general machinery costs ten times more on a QCIF
+    plane, once per decoded frame."""
+    height, width = plane.shape
+    out = np.empty((height + 2 * pad, width + 2 * pad), dtype=np.int64)
+    out[pad : pad + height, pad : pad + width] = plane
+    out[:pad, pad : pad + width] = plane[0]
+    out[pad + height :, pad : pad + width] = plane[-1]
+    out[:, :pad] = out[:, pad : pad + 1]
+    out[:, pad + width :] = out[:, pad + width - 1 : pad + width]
+    return out
+
+
+def _macroblock_view(plane: np.ndarray, size: int) -> np.ndarray:
+    """``(rows, cols, size, size)`` writable view of a plane's tiles."""
+    height, width = plane.shape
+    return plane.reshape(height // size, size, width // size, size).swapaxes(1, 2)

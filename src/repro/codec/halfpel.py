@@ -22,8 +22,6 @@ counters like any other candidates).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.codec.blocks import MB

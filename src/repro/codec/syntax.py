@@ -17,6 +17,7 @@ Layout of one fragment payload::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.codec.entropy import (
     write_ue,
 )
 from repro.codec.types import FrameType, MacroblockMode, EncodedMacroblock
-from repro.codec.zigzag import inverse_zigzag_order
+from repro.codec.zigzag import zigzag_order
 
 #: Sanity byte opening every fragment.
 FRAGMENT_MAGIC = 0xD5
@@ -299,170 +300,110 @@ def decode_macroblock(
 
 _MASK64 = (1 << 64) - 1
 
+#: Prefix width of the run-level event table.  Twelve bits hold about
+#: 92% of the events of a FOREMAN-like QCIF stream; longer events take
+#: the word-index slow path.
+EVENT_TABLE_BITS = 12
+_EVENT_SHIFT = 64 - EVENT_TABLE_BITS
+_EVENT_MASK = (1 << EVENT_TABLE_BITS) - 1
+#: Zero words appended to a fragment's word index, so the table lookup
+#: of a codeword that runs off the end of the data reads zero padding.
+_INDEX_TAIL = (0, 0, 0)
 
-def _parse_macroblock_fast(
-    words: list,
-    total: int,
-    p: int,
-    is_p: bool,
-    read_cod: bool,
-    blocks_per_mb: int,
-    block_base: int,
-    block_ids: list,
-    block_counts: list,
-    ev_positions: list,
-    ev_levels: list,
-) -> tuple[int, bool, int, int]:
-    """Parse one macroblock's syntax off a 64-bit word index.
 
-    Pure-integer transliteration of :func:`decode_macroblock` /
-    :func:`decode_macroblock_skippable`: raises :class:`BitstreamError`
-    at exactly the bit positions the sequential reader would, so the
-    decoder's salvage prefix is unchanged.  Coefficient events append
-    (zigzag position, level) to the shared accumulators; each coded
-    block contributes one ``(global block index, event count)`` pair so
-    the caller can scatter everything in one batch.
+@lru_cache(maxsize=None)
+def run_level_event_table(bits: int) -> tuple:
+    """Prefix table of whole run-level events (the VLD fast path).
 
-    Returns ``(next_bit_position, intra, mv_y, mv_x)``.
+    One event is ``run`` ue(v), ``level`` se(v) and the LAST bit.  Entry
+    ``i`` describes the event whose codeword opens the ``bits``-wide
+    MSB-first prefix ``i`` as ``(length, run + 1, level, last)``; it is
+    None when that event is longer than ``bits`` or codes a zero level
+    (corrupt), both of which the parser hands to its slow path.  Built
+    on first use, so importing the codec costs nothing.
     """
-    if read_cod:
-        if p >= total:
-            raise BitstreamError("bitstream exhausted")
-        if (words[p >> 3] >> (63 - (p & 7))) & 1:
-            return p + 1, False, 0, 0  # COD: skipped macroblock
-        p += 1
-    if is_p:
-        if p >= total:
-            raise BitstreamError("bitstream exhausted")
-        intra = (words[p >> 3] >> (63 - (p & 7))) & 1 == 1
-        p += 1
-    else:
-        intra = True
-    mv_y = mv_x = 0
-    if is_p and not intra:
-        for which in (0, 1):
-            if p >= total:
-                raise BitstreamError("bitstream exhausted")
-            window = (words[p >> 3] << (p & 7)) & _MASK64
-            zeros = 64 - window.bit_length()
-            if zeros > 32:
-                raise BitstreamError(
-                    "Exp-Golomb prefix too long (corrupt stream)"
-                )
-            if p + 2 * zeros + 1 > total:
-                raise BitstreamError("bitstream exhausted")
-            if zeros <= 28:
-                # The whole codeword (zeros + 1 + zeros payload bits)
-                # fits in the window's >= 57 visible bits: its top
-                # 2*zeros+1 bits ARE (1 << zeros) | payload.
-                mapped = (window >> (63 - 2 * zeros)) - 1
-                p += 2 * zeros + 1
-            else:
-                q = p + zeros + 1
-                mapped = (
-                    (1 << zeros)
-                    | (
-                        (words[q >> 3] >> (64 - (q & 7) - zeros))
-                        & ((1 << zeros) - 1)
-                    )
-                ) - 1
-                p = q + zeros
-            magnitude = (mapped + 1) >> 1
-            value = magnitude if mapped & 1 else -magnitude
-            if which:
-                mv_x = value
-            else:
-                mv_y = value
-    append_position = ev_positions.append
-    append_level = ev_levels.append
-    for block in range(blocks_per_mb):
-        if p >= total:
-            raise BitstreamError("bitstream exhausted")
-        coded = (words[p >> 3] >> (63 - (p & 7))) & 1
-        p += 1
-        if not coded:
-            continue
-        n_events = 0
-        position = -1
-        while True:
-            # run: ue(v)
-            if p >= total:
-                raise BitstreamError("bitstream exhausted")
-            window = (words[p >> 3] << (p & 7)) & _MASK64
-            zeros = 64 - window.bit_length()
-            if zeros > 32:
-                raise BitstreamError(
-                    "Exp-Golomb prefix too long (corrupt stream)"
-                )
-            if p + 2 * zeros + 1 > total:
-                raise BitstreamError("bitstream exhausted")
-            if zeros <= 28:
-                run = (window >> (63 - 2 * zeros)) - 1
-                p += 2 * zeros + 1
-            else:
-                q = p + zeros + 1
-                run = (
-                    (1 << zeros)
-                    | (
-                        (words[q >> 3] >> (64 - (q & 7) - zeros))
-                        & ((1 << zeros) - 1)
-                    )
-                ) - 1
-                p = q + zeros
-            # level: se(v), with the trailing LAST bit folded into the
-            # same window fetch when both fit in its visible bits
-            if p >= total:
-                raise BitstreamError("bitstream exhausted")
-            window = (words[p >> 3] << (p & 7)) & _MASK64
-            zeros = 64 - window.bit_length()
-            if zeros > 32:
-                raise BitstreamError(
-                    "Exp-Golomb prefix too long (corrupt stream)"
-                )
-            if p + 2 * zeros + 1 > total:
-                raise BitstreamError("bitstream exhausted")
-            if zeros <= 27 and p + 2 * zeros + 2 <= total:
-                mapped = (window >> (63 - 2 * zeros)) - 1
-                last = (window >> (62 - 2 * zeros)) & 1
-                p += 2 * zeros + 2
-                if mapped == 0:
-                    raise BitstreamError("run-level event with zero level")
-            else:
-                q = p + zeros + 1
-                if zeros:
-                    mapped = (
-                        (1 << zeros)
-                        | (
-                            (words[q >> 3] >> (64 - (q & 7) - zeros))
-                            & ((1 << zeros) - 1)
-                        )
-                    ) - 1
-                    q += zeros
-                else:
-                    mapped = 0
-                p = q
-                if mapped == 0:
-                    raise BitstreamError("run-level event with zero level")
-                # LAST bit
-                if p >= total:
-                    raise BitstreamError("bitstream exhausted")
-                last = (words[p >> 3] >> (63 - (p & 7))) & 1
-                p += 1
-            magnitude = (mapped + 1) >> 1
-            level = magnitude if mapped & 1 else -magnitude
-            position += run + 1
-            if position >= 64:
-                raise BitstreamError(
-                    f"run-level overrun: position {position} >= 64"
-                )
-            append_position(position)
-            append_level(level)
-            n_events += 1
-            if last:
-                break
-        block_ids.append(block_base + block)
-        block_counts.append(n_events)
-    return p, intra, mv_y, mv_x
+    table: list = [None] * (1 << bits)
+    for run_zeros in range((bits - 3) // 2 + 1):
+        run_length = 2 * run_zeros + 1
+        for level_zeros in range((bits - run_length - 2) // 2 + 1):
+            level_length = 2 * level_zeros + 1
+            length = run_length + level_length + 1
+            span = 1 << (bits - length)
+            # Codeword value v codes v - 1; mapped level 0 is corrupt.
+            for run_code in range(1 << run_zeros, 2 << run_zeros):
+                for level_code in range(max(2, 1 << level_zeros), 2 << level_zeros):
+                    magnitude = level_code >> 1
+                    level = magnitude if level_code & 1 == 0 else -magnitude
+                    for last in (0, 1):
+                        code = (run_code << level_length | level_code) << 1 | last
+                        start = code << (bits - length)
+                        table[start : start + span] = [
+                            (length, run_code, level, last)
+                        ] * span
+    return tuple(table)
+
+
+def _read_ue(words: list, total: int, p: int) -> tuple[int, int]:
+    """One ue(v) codeword at bit ``p`` of a word index: ``(value, next p)``.
+
+    A single window fetch serves prefixes of up to 28 zeros; longer ones
+    take the payload from a second word.  Raises :class:`BitstreamError`
+    on an exhausted stream or a prefix of more than 32 zeros, like
+    :meth:`BitReader.read_exp_golomb`.
+    """
+    if p >= total:
+        raise BitstreamError("bitstream exhausted")
+    window = (words[p >> 3] << (p & 7)) & _MASK64
+    zeros = 64 - window.bit_length()
+    if zeros > 32:
+        raise BitstreamError("Exp-Golomb prefix too long (corrupt stream)")
+    end = p + 2 * zeros + 1
+    if end > total:
+        raise BitstreamError("bitstream exhausted")
+    if zeros <= 28:
+        # The whole codeword sits in the window's >= 57 visible bits:
+        # its top 2*zeros+1 bits ARE (1 << zeros) | payload.
+        return (window >> (63 - 2 * zeros)) - 1, end
+    q = p + zeros + 1
+    payload = (words[q >> 3] >> (64 - (q & 7) - zeros)) & ((1 << zeros) - 1)
+    return ((1 << zeros) | payload) - 1, end
+
+
+def _read_event_slow(words: list, total: int, p: int) -> tuple[int, int, int, int]:
+    """A run-level event the table does not hold: ``(next p, run + 1,
+    level, last)``, or :class:`BitstreamError` when it is corrupt."""
+    run, p = _read_ue(words, total, p)
+    mapped, p = _read_ue(words, total, p)
+    if mapped == 0:
+        raise BitstreamError("run-level event with zero level")
+    if p >= total:
+        raise BitstreamError("bitstream exhausted")
+    last = (words[p >> 3] >> (63 - (p & 7))) & 1
+    magnitude = (mapped + 1) >> 1
+    return p + 1, run + 1, magnitude if mapped & 1 else -magnitude, last
+
+
+@dataclass(frozen=True)
+class MacroblockLayer:
+    """The salvaged macroblock prefix of one fragment, as arrays.
+
+    Attributes:
+        intra: ``(n,)`` bool, one entry per decoded macroblock.
+        mvs: ``(n, 2)`` int64 motion vectors as coded (zero for intra
+            and skipped macroblocks).
+        coded: ``(n, blocks_per_mb)`` bool, True where a block carries
+            coefficients.  An uncoded block's levels are all zero.
+        coefficients: ``(coded.sum(), 8, 8)`` int32 levels of the coded
+            blocks only, in (macroblock, block) raster order.
+    """
+
+    intra: np.ndarray
+    mvs: np.ndarray
+    coded: np.ndarray
+    coefficients: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.intra)
 
 
 def decode_macroblock_layer(
@@ -474,13 +415,15 @@ def decode_macroblock_layer(
     allow_skip: bool = False,
     allow_inter: bool = True,
     mv_limit: int | None = None,
-) -> list[EncodedMacroblock]:
+) -> MacroblockLayer:
     """Batch VLD of up to ``mb_count`` macroblocks (the decoder fast path).
 
-    Bit-identical to looping :func:`decode_macroblock` (or the skippable
-    variant), but the grammar runs over a precomputed 64-bit word index
-    of the payload with plain integer arithmetic — no per-codeword
-    method dispatch — and all coefficient events scatter into the
+    Decodes the same macroblocks as looping :func:`decode_macroblock`
+    (or the skippable variant), but walks a 64-bit word index of the
+    payload with a bare bit cursor: each run-level event of up to
+    :data:`EVENT_TABLE_BITS` bits is one lookup in
+    :func:`run_level_event_table`, longer or corrupt ones go through
+    :func:`_read_event_slow`.  All coefficient events scatter into the
     output arrays in one batch per fragment.
 
     Decoding stops at the first corrupt codeword, or — when the
@@ -488,90 +431,131 @@ def decode_macroblock_layer(
     be predicted (``allow_inter=False`` with an inter macroblock, or a
     motion vector beyond ``mv_limit``).  Either way the decoded prefix
     is returned and the reader is left positioned after the last
-    macroblock whose bits were consumed, matching the sequential
-    decoder's salvage semantics and bit accounting.
+    macroblock whose bits were consumed: a corrupt macroblock is
+    dropped with all its bits, an unpredictable one after them, exactly
+    as the sequential decoder parses and then validates.  A macroblock
+    is corrupt whenever the sequential reader would raise anywhere in
+    it; which error comes first does not matter, so table lookups that
+    read past the data are only checked once the macroblock is parsed.
     """
     if blocks_per_mb not in (4, 6):
         raise ValueError(f"blocks_per_mb must be 4 or 6, got {blocks_per_mb}")
+    table = run_level_event_table(EVENT_TABLE_BITS)
+    event_shift, event_mask = _EVENT_SHIFT, _EVENT_MASK
     data = reader.data
     total = len(data) * 8
     words = build_word_index(data)
+    words.extend(_INDEX_TAIL)
     p = reader.bits_consumed
     is_p = frame_type is FrameType.P
     read_cod = allow_skip and is_p
-    meta: list[tuple[bool, int, int]] = []
-    block_ids: list[int] = []
-    block_counts: list[int] = []
+    # An inter macroblock with a vector component beyond ``limit``
+    # cannot be predicted: a negative limit rejects every one, None none.
+    limit = mv_limit if allow_inter else -1
+    intra_flags: list[bool] = []
+    mv_values: list[int] = []
+    coded_masks: list[int] = []
+    # Event i sets coefficient ev_positions[i] (64 * coded-block ordinal
+    # + zigzag position) of the coded-block stack to ev_levels[i].
     ev_positions: list[int] = []
     ev_levels: list[int] = []
+    block_base = 0  # 64 * coded blocks so far
+    append_position = ev_positions.append
+    append_level = ev_levels.append
     for _ in range(mb_count):
+        mb_start = p
+        mb_block_base = block_base
         n_events = len(ev_levels)
-        n_blocks = len(block_ids)
         try:
-            p_next, intra, mv_y, mv_x = _parse_macroblock_fast(
-                words,
-                total,
-                p,
-                is_p,
-                read_cod,
-                blocks_per_mb,
-                len(meta) * blocks_per_mb,
-                block_ids,
-                block_counts,
-                ev_positions,
-                ev_levels,
-            )
+            skipped = False
+            if read_cod:
+                if p >= total:
+                    raise BitstreamError("bitstream exhausted")
+                skipped = (words[p >> 3] >> (63 - (p & 7))) & 1
+                p += 1
+            mv_y = mv_x = mask = 0
+            if skipped:
+                intra = False  # COD: inter, zero motion, zero residual
+            elif is_p:
+                if p >= total:
+                    raise BitstreamError("bitstream exhausted")
+                intra = (words[p >> 3] >> (63 - (p & 7))) & 1 == 1
+                p += 1
+                if not intra:
+                    mapped, p = _read_ue(words, total, p)
+                    mv_y = (mapped + 1) >> 1 if mapped & 1 else -(mapped >> 1)
+                    mapped, p = _read_ue(words, total, p)
+                    mv_x = (mapped + 1) >> 1 if mapped & 1 else -(mapped >> 1)
+            else:
+                intra = True
+            for block in range(0 if skipped else blocks_per_mb):
+                # Coded-block flag; a read past the data is caught by
+                # the end-of-macroblock check below.
+                coded = (words[p >> 3] >> (63 - (p & 7))) & 1
+                p += 1
+                if not coded:
+                    continue
+                position = block_base - 1
+                while True:
+                    entry = table[
+                        (words[p >> 3] >> (event_shift - (p & 7))) & event_mask
+                    ]
+                    if entry is None:
+                        p, step, level, last = _read_event_slow(words, total, p)
+                    else:
+                        length, step, level, last = entry
+                        p += length
+                    position += step
+                    append_position(position)
+                    append_level(level)
+                    if last:
+                        break
+                # Positions only grow, so one overrun check per block
+                # catches the first event past the 64th coefficient.
+                if position >= block_base + 64:
+                    raise BitstreamError("run-level overrun past 64 coefficients")
+                block_base += 64
+                mask |= 1 << block
+            if p > total:
+                raise BitstreamError("bitstream exhausted")
         except BitstreamError:
             # VLC desync: drop the partial macroblock, bits before it
             # stay consumed.
-            del block_ids[n_blocks:]
-            del block_counts[n_blocks:]
+            p = mb_start
+            block_base = mb_block_base
             del ev_positions[n_events:]
             del ev_levels[n_events:]
             break
-        p = p_next
-        if not intra and (
-            not allow_inter
-            or (
-                mv_limit is not None
-                and (
-                    mv_y > mv_limit
-                    or mv_y < -mv_limit
-                    or mv_x > mv_limit
-                    or mv_x < -mv_limit
-                )
-            )
+        if limit is not None and not intra and (
+            limit < 0 or abs(mv_y) > limit or abs(mv_x) > limit
         ):
-            # Unpredictable macroblock: its bits were consumed (like the
-            # sequential decoder, which parses before validating) but it
+            # Unpredictable macroblock: its bits stay consumed but it
             # is not part of the salvaged prefix.
-            del block_ids[n_blocks:]
-            del block_counts[n_blocks:]
+            block_base = mb_block_base
             del ev_positions[n_events:]
             del ev_levels[n_events:]
             break
-        meta.append((intra, mv_y, mv_x))
+        intra_flags.append(intra)
+        mv_values += (mv_y, mv_x)
+        coded_masks.append(mask)
     reader.skip_bits(p - reader.bits_consumed)
 
-    count = len(meta)
-    coefficients = np.zeros((count * blocks_per_mb, 64), dtype=np.int32)
+    count = len(intra_flags)
+    coded = (
+        np.array(coded_masks, dtype=np.int64).reshape(count, 1)
+        >> np.arange(blocks_per_mb)
+    ) & 1 == 1
+    n_coded = block_base // 64
+    coefficients = np.zeros(block_base, dtype=np.int32)
     if ev_levels:
-        ev_blocks = np.repeat(
-            np.asarray(block_ids, dtype=np.int64),
-            np.asarray(block_counts, dtype=np.int64),
-        )
-        coefficients[ev_blocks, ev_positions] = ev_levels
-    coefficients = coefficients[:, inverse_zigzag_order()].reshape(
-        count, blocks_per_mb, 8, 8
+        flat = np.array(ev_positions, dtype=np.int64)
+        coefficients[(flat & -64) | zigzag_order()[flat & 63]] = ev_levels
+    return MacroblockLayer(
+        intra=np.array(intra_flags, dtype=bool),
+        mvs=np.array(mv_values, dtype=np.int64).reshape(count, 2),
+        coded=coded,
+        coefficients=coefficients.reshape(n_coded, 8, 8),
     )
-    return [
-        EncodedMacroblock(
-            mode=MacroblockMode.INTRA if intra else MacroblockMode.INTER,
-            mv=(mv_y, mv_x),
-            coefficients=coefficients[index],
-        )
-        for index, (intra, mv_y, mv_x) in enumerate(meta)
-    ]
 
 
 def decode_macroblock_skippable(

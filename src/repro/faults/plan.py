@@ -39,7 +39,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Optional, Union
+from typing import Any, Mapping, Optional, Union
 
 import numpy as np
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import abc
 import hashlib
 import json
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 

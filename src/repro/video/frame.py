@@ -8,7 +8,7 @@ below name those numbers once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np

@@ -220,6 +220,19 @@ class TestDecoderRobustness:
         with pytest.raises(ValueError):
             decoder.decode_frame([], np.zeros((8, 8), dtype=np.uint8))
 
+    @pytest.mark.parametrize(
+        "shape,pad", [((144, 176), 15), ((48, 64), 17), ((24, 32), 8), ((16, 16), 1)]
+    )
+    def test_reference_padding_matches_np_pad(self, rng, shape, pad):
+        from repro.codec.decoder import _edge_padded
+
+        plane = rng.integers(0, 256, shape).astype(np.uint8)
+        padded = _edge_padded(plane, pad)
+        assert padded.dtype == np.int64
+        np.testing.assert_array_equal(
+            padded, np.pad(plane.astype(np.int64), pad, mode="edge")
+        )
+
 
 class TestGOPFrames:
     def test_gop_cadence(self, sequence, codec_config):

@@ -69,6 +69,54 @@ class TestLosslessTransparencyMatrix:
             reference = result.frame
 
 
+#: Every combination of the codec's four stream-shaping flags.
+FLAG_CUBE = [
+    dict(
+        chroma=chroma,
+        half_pel=half_pel,
+        allow_skip=allow_skip,
+        use_fixed_point_dct=fixed,
+    )
+    for chroma in (False, True)
+    for half_pel in (False, True)
+    for allow_skip in (False, True)
+    for fixed in (True, False)
+]
+
+
+def _flag_id(flags: dict) -> str:
+    return "-".join(
+        f"{name}={int(value)}" for name, value in flags.items()
+    )
+
+
+class TestCodecFlagCube:
+    @pytest.mark.parametrize("flags", FLAG_CUBE, ids=_flag_id)
+    def test_decoder_matches_encoder_reconstruction(self, flags):
+        """Loss-free, the decoder reproduces the encoder's luma and
+        chroma reconstruction for every combination of chroma, half-pel,
+        skip mode and the DCT arithmetic."""
+        config = small_config(**flags)
+        encoder = Encoder(config, build_strategy("GOP-3"))
+        decoder = Decoder(config)
+        packetizer = Packetizer(config, mtu=128)
+        luma, chroma = None, None
+        for frame in chroma_sequence(n_frames=4):
+            ef = encoder.encode_frame(frame)
+            payloads = [p.payload for p in packetizer.packetize(ef)]
+            result = decoder.decode_frame(
+                payloads, luma, frame.index, reference_chroma=chroma
+            )
+            assert result.received.all()
+            np.testing.assert_array_equal(result.frame, ef.reconstruction)
+            if flags["chroma"]:
+                for got, expected in zip(result.chroma, ef.reconstruction_chroma):
+                    np.testing.assert_array_equal(got, expected)
+            else:
+                assert result.chroma is None
+            luma, chroma = result.frame, result.chroma
+
+
 class TestDeterminism:
     def test_simulate_is_reproducible(self):
         clip = small_sequence(n_frames=8)

@@ -121,6 +121,7 @@ class TestPerfGate:
             (repo / "BENCH_blocks.json").read_text(encoding="utf-8")
         )
         assert entropy["combined_encode_decode_speedup"] > 0
+        assert entropy["vld_speedup_vs_sequential"] > 1.0
         assert blocks["combined_block_speedup"] > 0
         grid = json.loads(
             (repo / "BENCH_grid.json").read_text(encoding="utf-8")
